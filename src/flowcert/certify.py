@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
     CapacityError,
@@ -39,26 +39,6 @@ from .fibers import (
 )
 from .groups import Group, group_from_json, group_to_json
 from .moves import Move
-
-PAIRWISE_LIMIT = 4096
-
-
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 @dataclass(frozen=True)
@@ -126,10 +106,13 @@ def _shared_count(a: Counter, b: Counter) -> int:
     return sum((a & b).values())
 
 
-def fiber_edges(fiber: list[FlowMultiset], m: int, *, validate: bool = True) -> list[tuple[int, int]]:
-    """Adjacency by the shared-member rule: edge iff |M1 and M2| >= d - m."""
-    if validate:
-        _check_single_fiber(fiber)
+def fiber_edges(fiber: list[FlowMultiset], m: int) -> list[tuple[int, int]]:
+    """Adjacency by the shared-member rule: edge iff |M1 and M2| >= d - m.
+
+    Compares every pair; the reference for the sub-multiset index that
+    :func:`fiber_connected_under` and :func:`find_move_path` use.
+    """
+    _check_single_fiber(fiber)
     size = len(fiber)
     need = fiber[0].degree - m
     if need <= 0:
@@ -182,68 +165,102 @@ def fiber_edges_generative(
     return sorted(edges)
 
 
-def _shared_submultiset_union(fiber: list[FlowMultiset], m: int) -> _UnionFind:
-    """Union-find over the same adjacency as :func:`fiber_edges`, built by
-    hashing (d - m)-element sub-multisets instead of comparing all pairs.
-    Two multisets share >= d - m members iff they share some such witness, so
-    the components are identical; this path only matters for large fibers.
+class _SubmultisetIndex:
+    """The adjacency of one fiber under moves of degree <= m, as a hash index.
+
+    Two members of a degree-d fiber are one move apart exactly when they
+    share at least d - m flows, that is, when they share some (d - m)-element
+    sub-multiset.  The index maps each such sub-multiset to the members
+    containing it, so a member's neighbours are the union of its buckets.
+    When m >= d every pair is adjacent: the one key is the empty sub-multiset.
     """
-    uf = _UnionFind(len(fiber))
-    need = fiber[0].degree - m
-    if need <= 0:
-        for i in range(1, len(fiber)):
-            uf.union(0, i)
-        return uf
-    anchors: dict[tuple, int] = {}
-    for idx, ms in enumerate(fiber):
-        vals = tuple(f.values for f in ms.flows)
-        for sub in set(combinations(vals, need)):
-            first = anchors.setdefault(sub, idx)
-            if first != idx:
-                uf.union(first, idx)
-    return uf
+
+    def __init__(self, fiber: list[FlowMultiset], m: int):
+        need = max(fiber[0].degree - m, 0)
+        self.subs = [tuple(combinations(_multiset_key(ms), need)) for ms in fiber]
+        self.buckets: dict[tuple, list[int]] = {}
+        for idx, subs in enumerate(self.subs):
+            for sub in subs:
+                self.buckets.setdefault(sub, []).append(idx)
+
+    def take(self, idx: int) -> list[int]:
+        """Members adjacent to ``idx`` through buckets no earlier call took.
+
+        Each bucket is handed out once.  A traversal visits every member of
+        a bucket the first time it takes it, so later takes need not repeat
+        it; this keeps a whole traversal linear in the size of the index.
+        """
+        out: list[int] = []
+        for sub in self.subs[idx]:
+            out.extend(self.buckets.pop(sub, ()))
+        return out
 
 
-def fiber_connected_under(
-    fiber: Iterable[FlowMultiset],
-    m: int,
-    *,
-    pairwise_limit: int = PAIRWISE_LIMIT,
-) -> FiberComponents:
-    """Decompose one fiber into components under moves of degree <= m."""
+def fiber_connected_under(fiber: Iterable[FlowMultiset], m: int) -> FiberComponents:
+    """Decompose one fiber into components under moves of degree <= m.
+
+    Components are labelled by a traversal of the (d - m)-sub-multiset index,
+    which yields the same adjacency as :func:`fiber_edges` without comparing
+    all pairs.
+    """
     members = list(fiber)
     _check_single_fiber(members)
     if m < 2:
         raise PreconditionError(f"move bound must be >= 2, got {m}")
-    if len(members) <= pairwise_limit:
-        uf = _UnionFind(len(members))
-        for i, j in fiber_edges(members, m, validate=False):
-            uf.union(i, j)
-    else:
-        uf = _shared_submultiset_union(members, m)
-    by_root: dict[int, list[int]] = {}
-    for i in range(len(members)):
-        by_root.setdefault(uf.find(i), []).append(i)
+    index = _SubmultisetIndex(members, m)
+    seen = [False] * len(members)
     comps = []
-    for idxs in by_root.values():
-        idxs.sort(key=lambda i: _multiset_key(members[i]))
-        comps.append(tuple(members[i] for i in idxs))
+    for root in range(len(members)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp, stack = [root], [root]
+        while stack:
+            for j in index.take(stack.pop()):
+                if not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+                    stack.append(j)
+        comp.sort(key=lambda i: _multiset_key(members[i]))
+        comps.append(tuple(members[i] for i in comp))
     comps.sort(key=lambda comp: _multiset_key(comp[0]))
     return FiberComponents(components=tuple(comps))
 
 
 def _fiber_verdict(
-    item: tuple[ColumnSignature, list[FlowMultiset]],
-    m: int,
-    pairwise_limit: int,
+    item: tuple[ColumnSignature, list[FlowMultiset]], m: int
 ) -> tuple[ColumnSignature, int, Optional[tuple[FlowMultiset, FlowMultiset]]]:
     sig, fiber = item
     if len(fiber) == 1:
         return sig, 1, None
-    comps = fiber_connected_under(fiber, m, pairwise_limit=pairwise_limit)
+    comps = fiber_connected_under(fiber, m)
     if comps.connected:
         return sig, len(fiber), None
     return sig, len(fiber), (comps.components[0][0], comps.components[1][0])
+
+
+def _degree_verdicts(
+    group: Group, n: int, d_max: int, m: int, *, sweep_cap: int, threads: int = 1
+) -> Iterator[tuple[int, Iterator[tuple]]]:
+    """For each degree in [2, d_max], the verdicts of :func:`_fiber_verdict`
+    on its fibers in ascending fiber-key order.
+
+    Each degree's fibers are bucketed only when the caller asks for that
+    degree, so a caller that stops early never pays for the next one.
+    """
+    check = partial(_fiber_verdict, m=m)
+    for d in range(2, d_max + 1):
+        try:
+            fibers = enumerate_all_fibers(group, n, d, cap=sweep_cap)
+        except CapacityError as exc:
+            raise CapacityError(
+                f"degree {d} of the sweep: {exc}", required=exc.required, cap=exc.cap
+            ) from exc
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                yield d, pool.map(check, fibers)
+        else:
+            yield d, map(check, fibers)
 
 
 def certify_degree(
@@ -255,7 +272,6 @@ def certify_degree(
     threads: int = 1,
     find_all: bool = False,
     sweep_cap: int = DEFAULT_SWEEP_CAP,
-    pairwise_limit: int = PAIRWISE_LIMIT,
     progress: Optional[Callable[[str], None]] = None,
 ) -> CertificationReport:
     """Check every fiber of every degree in [2, d_max] for connectivity.
@@ -275,40 +291,23 @@ def certify_degree(
     started = time.monotonic()
     per_degree: list[DegreeStats] = []
     witnesses: list[Witness] = []
-    check = partial(_fiber_verdict, m=m, pairwise_limit=pairwise_limit)
-    for d in range(2, d_max + 1):
-        try:
-            fibers = enumerate_all_fibers(group, n, d, cap=sweep_cap)
-        except CapacityError as exc:
-            raise CapacityError(
-                f"degree {d} of the sweep: {exc}", required=exc.required, cap=exc.cap
-            ) from exc
+    for d, verdicts in _degree_verdicts(
+        group, n, d_max, m, sweep_cap=sweep_cap, threads=threads
+    ):
         fiber_count = 0
         multisets = 0
         disconnected = 0
         first_pair: Optional[Witness] = None
-        if threads > 1:
-            pool = ThreadPoolExecutor(max_workers=threads)
-            results = pool.map(check, fibers)
-        else:
-            pool = None
-            results = map(check, fibers)
-        try:
-            for sig, size, pair in results:
-                fiber_count += 1
-                multisets += size
-                if pair is not None:
-                    disconnected += 1
-                    w = Witness(
-                        degree=d, signature=sig, first=pair[0], second=pair[1]
-                    )
-                    if find_all:
-                        witnesses.append(w)
-                    elif first_pair is None:
-                        first_pair = w
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        for sig, size, pair in verdicts:
+            fiber_count += 1
+            multisets += size
+            if pair is not None:
+                disconnected += 1
+                w = Witness(degree=d, signature=sig, first=pair[0], second=pair[1])
+                if find_all:
+                    witnesses.append(w)
+                elif first_pair is None:
+                    first_pair = w
         if first_pair is not None:
             witnesses.append(first_pair)
         per_degree.append(
@@ -361,8 +360,10 @@ def find_move_path(
 ) -> Optional[list[Move]]:
     """Shortest sequence of degree <= m moves from m1 to m2, or None.
 
-    Breadth-first search over the fiber of the shared signature; the replay
-    of the returned moves transforms m1 into m2 exactly.
+    Breadth-first search over the fiber of the shared signature.  A member's
+    neighbours come from the (d - m)-sub-multiset index and are visited in
+    ascending fiber order, so the path found is the lowest one among the
+    shortest.  The replay of the returned moves transforms m1 into m2 exactly.
     """
     if m < 1:
         raise PreconditionError(f"move bound must be >= 1, got {m}")
@@ -373,18 +374,14 @@ def find_move_path(
     fiber = enumerate_fiber(signature(m1), m1.group, m1.n, cap=fiber_cap)
     pos = {ms: i for i, ms in enumerate(fiber)}
     src, dst = pos[m1], pos[m2]
-    need = m1.degree - m
-    counters = [Counter(ms.flows) for ms in fiber]
+    index = _SubmultisetIndex(fiber, m)
     parent: dict[int, Optional[int]] = {src: None}
     frontier = [src]
     while frontier and dst not in parent:
         nxt = []
         for i in frontier:
-            ci = counters[i]
-            for j in range(len(fiber)):
-                if j in parent:
-                    continue
-                if need <= 0 or _shared_count(ci, counters[j]) >= need:
+            for j in sorted(set(index.take(i))):
+                if j not in parent:
                     parent[j] = i
                     nxt.append(j)
         frontier = nxt
@@ -396,7 +393,7 @@ def find_move_path(
     chain.reverse()
     moves = []
     for a, b in zip(chain, chain[1:]):
-        ca, cb = counters[a], counters[b]
+        ca, cb = Counter(fiber[a].flows), Counter(fiber[b].flows)
         moves.append(
             Move(
                 removed=make_multiset((ca - cb).elements()),
@@ -413,24 +410,17 @@ def find_indispensable(
     *,
     d_max: int = 4,
     sweep_cap: int = DEFAULT_SWEEP_CAP,
-    pairwise_limit: int = PAIRWISE_LIMIT,
 ) -> Optional[Witness]:
     """First disconnected fiber in (degree, fiber key) order, or None.
 
+    The same sweep as :func:`certify_degree`, stopped at the first witness.
     A hit is evidence that generators of degree > m are required at that
     degree; None only means the range [2, d_max] is clean.
     """
     if m < 2:
         raise PreconditionError(f"move bound must be >= 2, got {m}")
-    for d in range(2, d_max + 1):
-        try:
-            fibers = enumerate_all_fibers(group, n, d, cap=sweep_cap)
-        except CapacityError as exc:
-            raise CapacityError(
-                f"degree {d} of the scan: {exc}", required=exc.required, cap=exc.cap
-            ) from exc
-        for sig, fiber in fibers:
-            _, _, pair = _fiber_verdict((sig, fiber), m, pairwise_limit)
+    for d, verdicts in _degree_verdicts(group, n, d_max, m, sweep_cap=sweep_cap):
+        for sig, _, pair in verdicts:
             if pair is not None:
                 return Witness(degree=d, signature=sig, first=pair[0], second=pair[1])
     return None

@@ -62,8 +62,6 @@ class RunConfig:
     n: int
     d_max: int
     m: int
-    flow_cap: int = DEFAULT_FLOW_CAP
-    fiber_cap: int = DEFAULT_FIBER_CAP
     sweep_cap: int = DEFAULT_SWEEP_CAP
     threads: int = 1
     out: Optional[str] = None
@@ -79,8 +77,6 @@ def make_run_config(**kwargs) -> RunConfig:
     if cfg.d_max < cfg.m:
         raise UsageError(f"dmax={cfg.d_max} must be >= m={cfg.m}")
     for name, value in (
-        ("flow cap", cfg.flow_cap),
-        ("fiber cap", cfg.fiber_cap),
         ("sweep cap", cfg.sweep_cap),
         ("threads", cfg.threads),
     ):

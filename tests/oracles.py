@@ -2,12 +2,13 @@
 
 Everything here avoids the package's fast paths on purpose: arithmetic is
 redone from the factor list, enumeration filters full products, and
-adjacency is rebuilt generatively, so agreement with the package is
-meaningful evidence.
+adjacency is rebuilt generatively or by comparing every pair of members, so
+agreement with the package is meaningful evidence.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import prod
 
@@ -142,3 +143,71 @@ def random_flow(rng, group, n):
 
 def random_multiset(rng, group, n, d):
     return fc.make_multiset([random_flow(rng, group, n) for _ in range(d)])
+
+
+def rows_key(multiset):
+    return tuple(f.values for f in multiset.flows)
+
+
+def edge_components(fiber, m):
+    """Components of the graph that ``fc.fiber_edges`` draws, in the order
+    ``fiber_connected_under`` reports them: members sorted within each
+    component, components sorted by their lowest member."""
+    adjacent = {i: [] for i in range(len(fiber))}
+    for i, j in fc.fiber_edges(fiber, m):
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    seen = set()
+    comps = []
+    for root in range(len(fiber)):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack, comp = [root], []
+        while stack:
+            i = stack.pop()
+            comp.append(fiber[i])
+            for j in adjacent[i]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        comps.append(tuple(sorted(comp, key=rows_key)))
+    return tuple(sorted(comps, key=lambda comp: rows_key(comp[0])))
+
+
+def reference_move_path(m1, m2, m):
+    """Breadth-first search that tests every unvisited member of the fiber
+    against each frontier member by counting shared flows, O(F^2) per
+    level; parents are assigned in ascending fiber order."""
+    if m1 == m2:
+        return []
+    fiber = fc.enumerate_fiber(fc.signature(m1), m1.group, m1.n)
+    pos = {ms: i for i, ms in enumerate(fiber)}
+    src, dst = pos[m1], pos[m2]
+    need = m1.degree - m
+    counters = [Counter(ms.flows) for ms in fiber]
+    parent = {src: None}
+    frontier = [src]
+    while frontier and dst not in parent:
+        nxt = []
+        for i in frontier:
+            for j in range(len(fiber)):
+                if j in parent:
+                    continue
+                if need <= 0 or sum((counters[i] & counters[j]).values()) >= need:
+                    parent[j] = i
+                    nxt.append(j)
+        frontier = nxt
+    if dst not in parent:
+        return None
+    chain = [dst]
+    while parent[chain[-1]] is not None:
+        chain.append(parent[chain[-1]])
+    chain.reverse()
+    return [
+        fc.Move(
+            removed=fc.make_multiset((counters[a] - counters[b]).elements()),
+            inserted=fc.make_multiset((counters[b] - counters[a]).elements()),
+        )
+        for a, b in zip(chain, chain[1:])
+    ]

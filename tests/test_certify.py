@@ -5,13 +5,14 @@ import random
 import pytest
 
 import flowcert as fc
-from flowcert.certify import PAIRWISE_LIMIT, _fiber_verdict
+from flowcert.certify import _fiber_verdict
 from flowcert.errors import (
     CapacityError,
     IncompatibilityError,
     InvalidFiberError,
     PreconditionError,
 )
+from oracles import edge_components, reference_move_path
 
 Z2 = fc.make_group([2])
 Z3 = fc.make_group([3])
@@ -87,13 +88,13 @@ def test_edge_rule_matches_generative_oracle(group, n, d_max, m):
 
 
 def test_bucket_union_matches_pairwise_components():
-    # pairwise_limit=0 forces the shared-submultiset union path
-    for group, n, d_max, m in [(Z2, 4, 4, 2), (Z3, 3, 4, 2)]:
+    for group, n, d_max, m in [
+        (Z2, 4, 4, 2), (Z3, 3, 4, 2), (Z3, 3, 4, 3), (Z2, 5, 4, 2)
+    ]:
         for d in range(2, d_max + 1):
             for _, fiber in fc.enumerate_all_fibers(group, n, d):
-                direct = fc.fiber_connected_under(fiber, m)
-                bucketed = fc.fiber_connected_under(fiber, m, pairwise_limit=0)
-                assert direct == bucketed
+                comps = fc.fiber_connected_under(fiber, m)
+                assert comps.components == edge_components(fiber, m)
 
 
 def test_certify_z2_n4_verified():
@@ -221,6 +222,34 @@ def test_find_move_path_replays_randomized():
         assert current == b
 
 
+@pytest.mark.parametrize(
+    "group,n,bounds,frozen",
+    [
+        (Z2, 5, (2,), None),
+        (Z2, 6, (2,), None),
+        (Z3, 3, (2, 3), WITNESS_Z3_N3),
+        (Z3, 4, (2, 3), WITNESS_Z3_N4),
+    ],
+    ids=["z2-n5", "z2-n6", "z3-n3", "z3-n4"],
+)
+def test_find_move_path_matches_reference_bfs(group, n, bounds, frozen):
+    rng = random.Random(2015 + 10 * group.order + n)
+    fibers = [
+        fiber
+        for d in (2, 3, 4)
+        for _, fiber in fc.enumerate_all_fibers(group, n, d)
+        if len(fiber) > 1
+    ]
+    pairs = [rng.sample(rng.choice(fibers), 2) for _ in range(40)]
+    if frozen is not None:
+        w = frozen_witness(group, n, frozen)
+        assert fc.find_move_path(w.first, w.second, 2) is None
+        pairs.append((w.first, w.second))
+    for a, b in pairs:
+        for m in bounds:
+            assert fc.find_move_path(a, b, m) == reference_move_path(a, b, m)
+
+
 def frozen_witness(group, n, fixture):
     return fc.Witness(
         degree=3,
@@ -240,6 +269,22 @@ def test_find_indispensable_z3_quadrics():
 def test_find_indispensable_clean_cases():
     assert fc.find_indispensable(Z2, 4, 2, d_max=4) is None
     assert fc.find_indispensable(Z3, 4, 3, d_max=4) is None
+
+
+@pytest.mark.parametrize(
+    "group,n,m,d_max",
+    [(Z3, 3, 2, 4), (Z3, 4, 2, 3), (Z2, 4, 2, 4), (Z3, 4, 3, 4)],
+    ids=["z3-n3-m2", "z3-n4-m2", "z2-n4-m2", "z3-n4-m3"],
+)
+def test_find_indispensable_matches_certify_sweep(group, n, m, d_max):
+    report = fc.certify_degree(group, n, d_max, m)
+    first = report.witnesses[0] if report.witnesses else None
+    assert fc.find_indispensable(group, n, m, d_max=d_max) == first
+    small = fc.multiset_count(group, n, 2)
+    with pytest.raises(CapacityError, match="degree 3"):
+        fc.certify_degree(group, n, d_max, m, sweep_cap=small)
+    with pytest.raises(CapacityError, match="degree 3"):
+        fc.find_indispensable(group, n, m, d_max=d_max, sweep_cap=small)
 
 
 def test_witness_pair_connectivity_by_move_bound():
@@ -263,6 +308,6 @@ def test_fiber_verdict_is_threadsafe_shape():
     # helper contract: (signature, size, optional witness pair)
     sig = fc.ColumnSignature(counts=WITNESS_Z3_N3["signature"])
     fiber = fc.enumerate_fiber(sig, Z3, 3)
-    got_sig, size, pair = _fiber_verdict((sig, fiber), 2, PAIRWISE_LIMIT)
+    got_sig, size, pair = _fiber_verdict((sig, fiber), 2)
     assert got_sig == sig and size == 3 and pair is not None
     assert pair[0] == fiber[0]
