@@ -92,18 +92,14 @@ def _multiset_key(ms: FlowMultiset) -> tuple[tuple[int, ...], ...]:
     return tuple(f.values for f in ms.flows)
 
 
-def _check_single_fiber(fiber: list[FlowMultiset]) -> ColumnSignature:
+def _check_single_fiber(fiber: list[FlowMultiset]) -> None:
+    """Input check of the public fiber functions: non-empty, one signature."""
     if not fiber:
         raise InvalidFiberError("fiber is empty")
     sig = signature(fiber[0])
     for ms in fiber[1:]:
         if signature(ms) != sig:
             raise InvalidFiberError("multisets do not share one signature")
-    return sig
-
-
-def _shared_count(a: Counter, b: Counter) -> int:
-    return sum((a & b).values())
 
 
 def fiber_edges(fiber: list[FlowMultiset], m: int) -> list[tuple[int, int]]:
@@ -122,14 +118,12 @@ def fiber_edges(fiber: list[FlowMultiset], m: int) -> list[tuple[int, int]]:
     for i in range(size):
         ci = counters[i]
         for j in range(i + 1, size):
-            if _shared_count(ci, counters[j]) >= need:
+            if sum((ci & counters[j]).values()) >= need:
                 edges.append((i, j))
     return edges
 
 
-def fiber_edges_generative(
-    fiber: list[FlowMultiset], m: int, *, fiber_cap: int = DEFAULT_FIBER_CAP
-) -> list[tuple[int, int]]:
+def fiber_edges_generative(fiber: list[FlowMultiset], m: int) -> list[tuple[int, int]]:
     """Adjacency by applying moves: remove each sub-multiset of size <= m and
     re-insert every compatible replacement.  Independent cross-check for
     :func:`fiber_edges`; quadratic in practice, test-scale only.
@@ -149,9 +143,7 @@ def fiber_edges_generative(
                 out = make_multiset(out_flows)
                 key = signature(out).flat()
                 if key not in replacements:
-                    replacements[key] = enumerate_fiber(
-                        signature(out), group, n, cap=fiber_cap
-                    )
+                    replacements[key] = enumerate_fiber(signature(out), group, n)
                 base = counter - Counter(out.flows)
                 for ins in replacements[key]:
                     if ins == out:
@@ -195,15 +187,33 @@ class _SubmultisetIndex:
             out.extend(self.buckets.pop(sub, ()))
         return out
 
+    def reach(self, root: int, seen: list[bool]) -> list[int]:
+        """Positions of ``root``'s component, root first; marks them in ``seen``.
+
+        The one traversal that labels components.  Buckets taken here are
+        gone, so later reaches on the same index find only other components.
+        """
+        seen[root] = True
+        comp, stack = [root], [root]
+        while stack:
+            for j in self.take(stack.pop()):
+                if not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+                    stack.append(j)
+        return comp
+
 
 def fiber_connected_under(fiber: Iterable[FlowMultiset], m: int) -> FiberComponents:
     """Decompose one fiber into components under moves of degree <= m.
 
-    Components are labelled by a traversal of the (d - m)-sub-multiset index,
-    which yields the same adjacency as :func:`fiber_edges` without comparing
-    all pairs.
+    Components are labelled by reaches through the (d - m)-sub-multiset
+    index, which yields the same adjacency as :func:`fiber_edges` without
+    comparing all pairs.  Members are sorted by key once and each reach
+    starts at the lowest member not yet seen, so the components come out
+    lowest member first and in order of their lowest members.
     """
-    members = list(fiber)
+    members = sorted(fiber, key=_multiset_key)
     _check_single_fiber(members)
     if m < 2:
         raise PreconditionError(f"move bound must be >= 2, got {m}")
@@ -211,32 +221,29 @@ def fiber_connected_under(fiber: Iterable[FlowMultiset], m: int) -> FiberCompone
     seen = [False] * len(members)
     comps = []
     for root in range(len(members)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp, stack = [root], [root]
-        while stack:
-            for j in index.take(stack.pop()):
-                if not seen[j]:
-                    seen[j] = True
-                    comp.append(j)
-                    stack.append(j)
-        comp.sort(key=lambda i: _multiset_key(members[i]))
-        comps.append(tuple(members[i] for i in comp))
-    comps.sort(key=lambda comp: _multiset_key(comp[0]))
+        if not seen[root]:
+            comp = sorted(index.reach(root, seen))
+            comps.append(tuple(members[i] for i in comp))
     return FiberComponents(components=tuple(comps))
 
 
 def _fiber_verdict(
     item: tuple[ColumnSignature, list[FlowMultiset]], m: int
 ) -> tuple[ColumnSignature, int, Optional[tuple[FlowMultiset, FlowMultiset]]]:
+    """The sweep's check of one fiber: (signature, size, witness pair or None).
+
+    Takes fibers as :func:`enumerate_all_fibers` yields them and checks
+    nothing again: every member was built to have the signature it is
+    bucketed under, and members come in ascending key order.  One reach
+    from member 0 then decides connectivity, and the pair (member 0, first
+    member not reached) is the lowest member of each of the two lowest
+    components, as :func:`fiber_connected_under` would order them.
+    """
     sig, fiber = item
-    if len(fiber) == 1:
-        return sig, 1, None
-    comps = fiber_connected_under(fiber, m)
-    if comps.connected:
+    seen = [False] * len(fiber)
+    if len(_SubmultisetIndex(fiber, m).reach(0, seen)) == len(fiber):
         return sig, len(fiber), None
-    return sig, len(fiber), (comps.components[0][0], comps.components[1][0])
+    return sig, len(fiber), (fiber[0], fiber[seen.index(False)])
 
 
 def _degree_verdicts(

@@ -13,9 +13,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .certify import (
     certify_degree,
@@ -54,39 +53,6 @@ class UsageError(FlowcertError):
     """Bad flags or malformed input data."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of everything a certification run needs."""
-
-    factors: tuple[int, ...]
-    n: int
-    d_max: int
-    m: int
-    sweep_cap: int = DEFAULT_SWEEP_CAP
-    threads: int = 1
-    out: Optional[str] = None
-    fmt: str = "json"
-
-
-def make_run_config(**kwargs) -> RunConfig:
-    cfg = RunConfig(**kwargs)
-    if cfg.n < 1:
-        raise UsageError(f"n must be >= 1, got {cfg.n}")
-    if cfg.m < 2:
-        raise UsageError(f"m must be >= 2, got {cfg.m}")
-    if cfg.d_max < cfg.m:
-        raise UsageError(f"dmax={cfg.d_max} must be >= m={cfg.m}")
-    for name, value in (
-        ("sweep cap", cfg.sweep_cap),
-        ("threads", cfg.threads),
-    ):
-        if value < 1:
-            raise UsageError(f"{name} must be positive, got {value}")
-    if cfg.fmt not in ("json", "text"):
-        raise UsageError(f"format must be json or text, got {cfg.fmt!r}")
-    return cfg
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -110,6 +76,18 @@ def _resolve_threads(flag_value: int) -> int:
         return int(env)
     except ValueError:
         raise UsageError(f"{THREADS_ENV} must be an integer, got {env!r}")
+
+
+def _check_sweep_args(args) -> None:
+    """Reject sweep flags out of range before any work starts."""
+    if args.n < 1:
+        raise UsageError(f"n must be >= 1, got {args.n}")
+    if args.m < 2:
+        raise UsageError(f"m must be >= 2, got {args.m}")
+    if args.dmax < args.m:
+        raise UsageError(f"dmax={args.dmax} must be >= m={args.m}")
+    if args.sweep_cap < 1:
+        raise UsageError(f"sweep cap must be positive, got {args.sweep_cap}")
 
 
 def load_multiset(path: str, group: Group, n: int) -> FlowMultiset:
@@ -236,29 +214,23 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    cfg = make_run_config(
-        factors=_parse_group(args.group).factors,
-        n=args.n,
-        d_max=args.dmax,
-        m=args.m,
-        sweep_cap=args.sweep_cap,
-        threads=_resolve_threads(args.threads),
-        out=args.out,
-        fmt=args.format,
-    )
-    group = make_group(cfg.factors)
+    group = _parse_group(args.group)
+    threads = _resolve_threads(args.threads)
+    _check_sweep_args(args)
+    if threads < 1:
+        raise UsageError(f"threads must be positive, got {threads}")
     report = certify_degree(
         group,
-        cfg.n,
-        cfg.d_max,
-        cfg.m,
-        threads=cfg.threads,
+        args.n,
+        args.dmax,
+        args.m,
+        threads=threads,
         find_all=args.find_all,
-        sweep_cap=cfg.sweep_cap,
+        sweep_cap=args.sweep_cap,
         progress=_progress,
     )
     print(f"elapsed: {report.elapsed_ms} ms", file=sys.stderr)
-    if cfg.fmt == "text":
+    if args.format == "text":
         lines = []
         for s in report.per_degree:
             lines.append(
@@ -274,22 +246,14 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    cfg = make_run_config(
-        factors=_parse_group(args.group).factors,
-        n=args.n,
-        d_max=args.dmax,
-        m=args.m,
-        sweep_cap=args.sweep_cap,
-        out=args.out,
-        fmt=args.format,
-    )
-    group = make_group(cfg.factors)
+    group = _parse_group(args.group)
+    _check_sweep_args(args)
     witness = find_indispensable(
-        group, cfg.n, cfg.m, d_max=cfg.d_max, sweep_cap=cfg.sweep_cap
+        group, args.n, args.m, d_max=args.dmax, sweep_cap=args.sweep_cap
     )
-    if cfg.fmt == "text":
+    if args.format == "text":
         if witness is None:
-            text = f"none up to degree {cfg.d_max}"
+            text = f"none up to degree {args.dmax}"
         else:
             text = (
                 f"degree {witness.degree} witness\n"
@@ -300,9 +264,9 @@ def _cmd_witness(args) -> int:
         payload = {
             "format": 1,
             "group": group_to_json(group),
-            "n": cfg.n,
-            "m": cfg.m,
-            "d_max": cfg.d_max,
+            "n": args.n,
+            "m": args.m,
+            "d_max": args.dmax,
             "witness": None if witness is None else witness_to_json(witness),
         }
         text = _dump(payload)

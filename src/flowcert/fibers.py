@@ -13,8 +13,8 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterable, Iterator
 
-from .errors import CapacityError, ShapeError
-from .flows import DEFAULT_FLOW_CAP, Flow, enumerate_flows, make_flow
+from .errors import CapacityError, InvalidFiberError, ShapeError
+from .flows import Flow, enumerate_flows, make_flow
 from .groups import Group
 
 DEFAULT_FIBER_CAP = 1 << 22
@@ -127,12 +127,7 @@ def _check_signature(sig: ColumnSignature, group: Group, n: int) -> int:
 
 
 def enumerate_fiber(
-    sig: ColumnSignature,
-    group: Group,
-    n: int,
-    *,
-    cap: int = DEFAULT_FIBER_CAP,
-    flow_cap: int = DEFAULT_FLOW_CAP,
+    sig: ColumnSignature, group: Group, n: int, *, cap: int = DEFAULT_FIBER_CAP
 ) -> list[FlowMultiset]:
     """All degree-d multisets with the given signature, in canonical order.
 
@@ -141,7 +136,7 @@ def enumerate_fiber(
     multisets come out sorted without a post-pass.
     """
     degree = _check_signature(sig, group, n)
-    flows = enumerate_flows(group, n, cap=flow_cap)
+    flows = enumerate_flows(group, n)
     remaining = [list(row) for row in sig.counts]
     chosen: list[int] = []
     found: list[tuple[int, ...]] = []
@@ -182,12 +177,7 @@ def multiset_count(group: Group, n: int, d: int) -> int:
 
 
 def enumerate_all_fibers(
-    group: Group,
-    n: int,
-    d: int,
-    *,
-    cap: int = DEFAULT_SWEEP_CAP,
-    flow_cap: int = DEFAULT_FLOW_CAP,
+    group: Group, n: int, d: int, *, cap: int = DEFAULT_SWEEP_CAP
 ) -> Iterator[tuple[ColumnSignature, list[FlowMultiset]]]:
     """Partition all degree-d multisets by signature, ascending by fiber key.
 
@@ -201,7 +191,7 @@ def enumerate_all_fibers(
             required=total,
             cap=cap,
         )
-    flows = enumerate_flows(group, n, cap=flow_cap)
+    flows = enumerate_flows(group, n)
     return _iter_fibers(group, n, d, flows)
 
 
@@ -241,4 +231,9 @@ def fiber_from_json(
 ) -> tuple[ColumnSignature, list[FlowMultiset]]:
     sig = ColumnSignature(counts=tuple(tuple(int(c) for c in row) for row in data["signature"]))
     _check_signature(sig, group, n)
-    return sig, [multiset_from_rows(group, n, rows) for rows in data["multisets"]]
+    multisets = [multiset_from_rows(group, n, rows) for rows in data["multisets"]]
+    if not multisets:
+        raise InvalidFiberError("fiber has no multisets")
+    if any(signature(ms) != sig for ms in multisets):
+        raise InvalidFiberError("fiber multisets do not match the stored signature")
+    return sig, multisets

@@ -149,7 +149,3 @@ def automorph(flow: Flow, pi: Sequence[int]) -> Flow:
             f"automorphism acts on {len(pi)} codes, group has order {flow.group.order}"
         )
     return Flow(group=flow.group, values=tuple(pi[v] for v in flow.values))
-
-
-def flow_to_codes(flow: Flow) -> list[int]:
-    return list(flow.values)

@@ -16,6 +16,7 @@ from oracles import edge_components, reference_move_path
 
 Z2 = fc.make_group([2])
 Z3 = fc.make_group([3])
+Z2xZ2 = fc.make_group([2, 2])
 
 # lowest disconnected locus for Z3 under quadric moves, frozen after the
 # generative-edge oracle confirmed the disconnection
@@ -68,10 +69,11 @@ def test_walkthrough_endpoints_share_a_component():
 def test_fiber_connected_under_input_validation():
     a = fc.make_multiset([fc.make_flow(Z2, [0, 0, 0])])
     b = fc.make_multiset([fc.make_flow(Z2, [0, 1, 1])])
-    with pytest.raises(InvalidFiberError):
-        fc.fiber_connected_under([a, b], 2)
-    with pytest.raises(InvalidFiberError):
-        fc.fiber_connected_under([], 2)
+    for check in (fc.fiber_connected_under, fc.fiber_edges, fc.fiber_edges_generative):
+        with pytest.raises(InvalidFiberError):
+            check([a, b], 2)
+        with pytest.raises(InvalidFiberError):
+            check([], 2)
     with pytest.raises(PreconditionError):
         fc.fiber_connected_under([a], 1)
 
@@ -305,9 +307,51 @@ def test_witness_json_round_trip():
 
 
 def test_fiber_verdict_is_threadsafe_shape():
-    # helper contract: (signature, size, optional witness pair)
+    # helper contract: (signature, size, None or (member 0, first member
+    # outside member 0's component)) on a fiber in ascending key order
     sig = fc.ColumnSignature(counts=WITNESS_Z3_N3["signature"])
     fiber = fc.enumerate_fiber(sig, Z3, 3)
     got_sig, size, pair = _fiber_verdict((sig, fiber), 2)
-    assert got_sig == sig and size == 3 and pair is not None
-    assert pair[0] == fiber[0]
+    assert got_sig == sig and size == 3
+    assert pair == (fiber[0], fiber[1])
+    assert _fiber_verdict((sig, fiber), 3) == (sig, 3, None)
+    single = fc.make_multiset([fc.make_flow(Z3, [0, 1, 2])])
+    assert _fiber_verdict((fc.signature(single), [single]), 2)[1:] == (1, None)
+
+
+@pytest.mark.parametrize(
+    "group,n,d_max,m",
+    [
+        (Z3, 3, 4, 2), (Z3, 3, 4, 3), (Z3, 4, 3, 2),
+        (Z2xZ2, 3, 4, 2), (Z2xZ2, 3, 4, 3),
+    ],
+    ids=["z3-n3-m2", "z3-n3-m3", "z3-n4-m2", "z2x2-n3-m2", "z2x2-n3-m3"],
+)
+def test_fiber_verdict_matches_components(group, n, d_max, m):
+    for d in range(2, d_max + 1):
+        for sig, fiber in fc.enumerate_all_fibers(group, n, d):
+            comps = fc.fiber_connected_under(fiber, m).components
+            expected = None if len(comps) == 1 else (comps[0][0], comps[1][0])
+            assert _fiber_verdict((sig, fiber), m) == (sig, len(fiber), expected)
+
+
+def test_fiber_connected_under_ignores_member_order():
+    rng = random.Random(3)
+    for group, n, d, m in [(Z3, 3, 4, 2), (Z3, 3, 4, 3), (Z2, 5, 4, 2)]:
+        for _, fiber in fc.enumerate_all_fibers(group, n, d):
+            want = fc.fiber_connected_under(fiber, m)
+            shuffled = fiber[:]
+            rng.shuffle(shuffled)
+            assert fc.fiber_connected_under(reversed(fiber), m) == want
+            assert fc.fiber_connected_under(shuffled, m) == want
+
+
+def test_sweep_does_not_recompute_signatures(monkeypatch):
+    def refuse(ms):
+        raise AssertionError("signature() called inside the sweep")
+
+    monkeypatch.setattr("flowcert.certify.signature", refuse)
+    monkeypatch.setattr("flowcert.fibers.signature", refuse)
+    report = fc.certify_degree(Z3, 3, 4, 2, find_all=True)
+    assert report.verdict == "not-verified" and report.witnesses
+    assert fc.find_indispensable(Z3, 3, 2).degree == 3

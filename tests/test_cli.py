@@ -12,7 +12,6 @@ from flowcert.cli import (
     EXIT_WITNESS,
     UsageError,
     load_multiset,
-    make_run_config,
     run_command,
 )
 from flowcert.errors import NotAFlowError
@@ -262,17 +261,29 @@ def test_not_a_flow_file_maps_to_usage_exit(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "NotAFlowError"
 
 
-def test_run_config_validation():
-    cfg = make_run_config(factors=(3,), n=4, d_max=4, m=3)
-    assert cfg.threads == 1 and cfg.fmt == "json"
-    with pytest.raises(UsageError):
-        make_run_config(factors=(3,), n=0, d_max=4, m=3)
-    with pytest.raises(UsageError):
-        make_run_config(factors=(3,), n=4, d_max=2, m=3)
-    with pytest.raises(UsageError):
-        make_run_config(factors=(3,), n=4, d_max=4, m=3, threads=0)
-    with pytest.raises(UsageError):
-        make_run_config(factors=(3,), n=4, d_max=4, m=3, fmt="yaml")
+def test_run_config_validation(capsys, monkeypatch):
+    # a repeated flag overrides the valid base value before it
+    certify = ["certify", "--group", "3", "--n", "3", "--dmax", "3", "--m", "3"]
+    witness = ["witness", "--group", "3", "--n", "3", "--m", "2"]
+    monkeypatch.delenv("FLOWCERT_THREADS", raising=False)
+    for argv in (
+        certify + ["--n", "0"],
+        certify + ["--m", "1"],
+        certify + ["--dmax", "2"],
+        certify + ["--sweep-cap", "0"],
+        certify + ["--threads", "0"],
+        certify + ["--format", "yaml"],
+        witness + ["--n", "0"],
+        witness + ["--m", "5"],
+        witness + ["--sweep-cap", "0"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == "", argv
+        assert json.loads(err)["error"]["type"] == "usage"
+    monkeypatch.setenv("FLOWCERT_THREADS", "0")
+    code, _, err = run(capsys, *certify)
+    assert code == EXIT_USAGE
+    assert json.loads(err)["error"]["type"] == "usage"
 
 
 def test_help_exits_zero(capsys):

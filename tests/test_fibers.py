@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 import flowcert as fc
-from flowcert.errors import CapacityError, ShapeError
+from flowcert.errors import CapacityError, InvalidFiberError, ShapeError
 from oracles import (
     brute_force_partition,
     column_contents_key,
@@ -265,6 +265,21 @@ def test_multiset_canonical_and_json_round_trip():
     data = fc.fiber_to_json(sig, fiber)
     sig2, fiber2 = fc.fiber_from_json(Z2, 6, data)
     assert sig2 == sig and fiber2 == fiber
+
+
+def test_fiber_from_json_rejects_foreign_and_missing_members():
+    sig = [[1, 0], [1, 0], [1, 0]]
+    with pytest.raises(InvalidFiberError):
+        fc.fiber_from_json(Z2, 3, {"signature": sig, "multisets": [[[0, 1, 1]]]})
+    with pytest.raises(InvalidFiberError):
+        fc.fiber_from_json(Z2, 3, {"signature": sig, "multisets": []})
+    # one matching member and one that is not: the whole fiber is refused
+    with pytest.raises(InvalidFiberError):
+        fc.fiber_from_json(
+            Z2, 3, {"signature": sig, "multisets": [[[0, 0, 0]], [[0, 1, 1]]]}
+        )
+    _, members = fc.fiber_from_json(Z2, 3, {"signature": sig, "multisets": [[[0, 0, 0]]]})
+    assert fc.multiset_to_rows(members[0]) == [[0, 0, 0]]
 
 
 def test_make_multiset_requires_uniform_shape():
