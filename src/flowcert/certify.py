@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -93,9 +91,12 @@ def _multiset_key(ms: FlowMultiset) -> tuple[tuple[int, ...], ...]:
 
 
 def _check_single_fiber(fiber: list[FlowMultiset]) -> None:
-    """Input check of the public fiber functions: non-empty, one signature."""
+    """Input check of the public fiber functions: non-empty, no repeated
+    member, one signature."""
     if not fiber:
         raise InvalidFiberError("fiber is empty")
+    if len(set(fiber)) != len(fiber):
+        raise InvalidFiberError("fiber lists a member more than once")
     sig = signature(fiber[0])
     for ms in fiber[1:]:
         if signature(ms) != sig:
@@ -247,7 +248,7 @@ def _fiber_verdict(
 
 
 def _degree_verdicts(
-    group: Group, n: int, d_max: int, m: int, *, sweep_cap: int, threads: int = 1
+    group: Group, n: int, d_max: int, m: int, *, sweep_cap: int
 ) -> Iterator[tuple[int, Iterator[tuple]]]:
     """For each degree in [2, d_max], the verdicts of :func:`_fiber_verdict`
     on its fibers in ascending fiber-key order.
@@ -255,7 +256,6 @@ def _degree_verdicts(
     Each degree's fibers are bucketed only when the caller asks for that
     degree, so a caller that stops early never pays for the next one.
     """
-    check = partial(_fiber_verdict, m=m)
     for d in range(2, d_max + 1):
         try:
             fibers = enumerate_all_fibers(group, n, d, cap=sweep_cap)
@@ -263,11 +263,7 @@ def _degree_verdicts(
             raise CapacityError(
                 f"degree {d} of the sweep: {exc}", required=exc.required, cap=exc.cap
             ) from exc
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                yield d, pool.map(check, fibers)
-        else:
-            yield d, map(check, fibers)
+        yield d, (_fiber_verdict(item, m) for item in fibers)
 
 
 def certify_degree(
@@ -286,8 +282,9 @@ def certify_degree(
     By default the sweep stops after the first degree that produced a
     witness and reports only the first one in (degree, fiber key) order;
     ``find_all=True`` sweeps the full range and keeps every witness.
-    Fibers of one degree may be checked in parallel; the aggregate is
-    independent of scheduling.
+    The sweep always runs in the calling thread, whatever ``threads`` says:
+    the fiber checks are pure Python and hold the GIL, and a thread pool
+    measured slower than one thread.
     """
     if m < 2:
         raise PreconditionError(f"move bound must be >= 2, got {m}")
@@ -298,9 +295,7 @@ def certify_degree(
     started = time.monotonic()
     per_degree: list[DegreeStats] = []
     witnesses: list[Witness] = []
-    for d, verdicts in _degree_verdicts(
-        group, n, d_max, m, sweep_cap=sweep_cap, threads=threads
-    ):
+    for d, verdicts in _degree_verdicts(group, n, d_max, m, sweep_cap=sweep_cap):
         fiber_count = 0
         multisets = 0
         disconnected = 0
@@ -450,7 +445,14 @@ def witness_from_json(group: Group, n: int, data: dict) -> Witness:
     )
     if signature(first) != sig or signature(second) != sig:
         raise InvalidFiberError("witness multisets do not match the stored signature")
-    return Witness(degree=int(data["degree"]), signature=sig, first=first, second=second)
+    degree = int(data["degree"])
+    if degree != sig.degree:
+        raise InvalidFiberError(
+            f"witness degree {degree} differs from its signature's degree {sig.degree}"
+        )
+    if first == second:
+        raise InvalidFiberError("witness names one multiset twice")
+    return Witness(degree=degree, signature=sig, first=first, second=second)
 
 
 def report_to_json(report: CertificationReport, *, include_elapsed: bool = True) -> dict:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -46,8 +45,6 @@ EXIT_WITNESS = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
-THREADS_ENV = "FLOWCERT_THREADS"
-
 
 class UsageError(FlowcertError):
     """Bad flags or malformed input data."""
@@ -66,16 +63,6 @@ def _parse_group(text: str) -> Group:
     if not factors:
         raise UsageError(f"invalid --group value {text!r}; expected e.g. 3 or 2,2")
     return make_group(factors)
-
-
-def _resolve_threads(flag_value: int) -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env is None:
-        return flag_value
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"{THREADS_ENV} must be an integer, got {env!r}")
 
 
 def _check_sweep_args(args) -> None:
@@ -215,16 +202,12 @@ def _cmd_path(args) -> int:
 
 def _cmd_certify(args) -> int:
     group = _parse_group(args.group)
-    threads = _resolve_threads(args.threads)
     _check_sweep_args(args)
-    if threads < 1:
-        raise UsageError(f"threads must be positive, got {threads}")
     report = certify_degree(
         group,
         args.n,
         args.dmax,
         args.m,
-        threads=threads,
         find_all=args.find_all,
         sweep_cap=args.sweep_cap,
         progress=_progress,
@@ -318,7 +301,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True, help="move degree bound")
     p.add_argument("--find-all", action="store_true", help="keep sweeping past failures")
     p.add_argument("--sweep-cap", type=int, default=DEFAULT_SWEEP_CAP)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=_cmd_certify)
 
     p = subs.add_parser("witness", help="first disconnected fiber, if any")

@@ -14,7 +14,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .errors import CapacityError, InvalidFiberError, ShapeError
-from .flows import Flow, enumerate_flows, make_flow
+from .flows import Flow, enumerate_flows, flow_count, make_flow
 from .groups import Group
 
 DEFAULT_FIBER_CAP = 1 << 22
@@ -173,7 +173,7 @@ def multiset_count(group: Group, n: int, d: int) -> int:
     """Number of degree-d multisets over all flows on n."""
     if d < 1:
         raise ShapeError(f"degree must be >= 1, got {d}")
-    return comb(group.order ** (n - 1) + d - 1, d)
+    return comb(flow_count(group, n) + d - 1, d)
 
 
 def enumerate_all_fibers(
@@ -236,4 +236,6 @@ def fiber_from_json(
         raise InvalidFiberError("fiber has no multisets")
     if any(signature(ms) != sig for ms in multisets):
         raise InvalidFiberError("fiber multisets do not match the stored signature")
+    if len(set(multisets)) != len(multisets):
+        raise InvalidFiberError("fiber lists a multiset more than once")
     return sig, multisets

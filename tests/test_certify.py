@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
 import flowcert as fc
+import flowcert.certify as certify_module
 from flowcert.certify import _fiber_verdict
 from flowcert.errors import (
     CapacityError,
     IncompatibilityError,
     InvalidFiberError,
     PreconditionError,
+    ShapeError,
 )
 from oracles import edge_components, reference_move_path
 
@@ -74,6 +77,8 @@ def test_fiber_connected_under_input_validation():
             check([a, b], 2)
         with pytest.raises(InvalidFiberError):
             check([], 2)
+        with pytest.raises(InvalidFiberError):
+            check([a, a], 2)
     with pytest.raises(PreconditionError):
         fc.fiber_connected_under([a], 1)
 
@@ -145,15 +150,6 @@ def test_certify_monotone_in_move_bound():
                 assert verdicts[m + 1] == "verified"
 
 
-def test_certify_deterministic_across_parallelism():
-    sequential = fc.certify_degree(Z3, 3, 4, 2, find_all=True, threads=1)
-    parallel = fc.certify_degree(Z3, 3, 4, 2, find_all=True, threads=4)
-    assert sequential == parallel
-    assert fc.report_to_json(sequential, include_elapsed=False) == fc.report_to_json(
-        parallel, include_elapsed=False
-    )
-
-
 def test_certify_repeated_runs_identical():
     a = fc.certify_degree(Z2, 5, 4, 2)
     b = fc.certify_degree(Z2, 5, 4, 2)
@@ -167,6 +163,23 @@ def test_certify_parameter_validation():
         fc.certify_degree(Z2, 3, 2, 3)
     with pytest.raises(PreconditionError):
         fc.certify_degree(Z2, 3, 4, 2, threads=0)
+    for n in (0, -1):
+        with pytest.raises(ShapeError):
+            fc.certify_degree(Z2, n, 4, 2)
+        with pytest.raises(ShapeError):
+            fc.find_indispensable(Z2, n, 2)
+
+
+def test_certify_checks_fibers_in_the_calling_thread(monkeypatch):
+    callers = set()
+
+    def recording(item, m):
+        callers.add(threading.get_ident())
+        return _fiber_verdict(item, m)
+
+    monkeypatch.setattr(certify_module, "_fiber_verdict", recording)
+    fc.certify_degree(Z3, 3, 4, 2, find_all=True, threads=4)
+    assert callers == {threading.get_ident()}
 
 
 def test_certify_capacity_error_names_the_degree():
@@ -304,6 +317,16 @@ def test_witness_pair_connectivity_by_move_bound():
 def test_witness_json_round_trip():
     w = frozen_witness(Z3, 3, WITNESS_Z3_N3)
     assert fc.witness_from_json(Z3, 3, fc.witness_to_json(w)) == w
+
+
+def test_witness_from_json_rejects_impossible_witnesses():
+    w = frozen_witness(Z3, 3, WITNESS_Z3_N3)
+    wrong_degree = dict(fc.witness_to_json(w), degree=7)
+    with pytest.raises(InvalidFiberError):
+        fc.witness_from_json(Z3, 3, wrong_degree)
+    same_member = dict(fc.witness_to_json(w), second=fc.multiset_to_rows(w.first))
+    with pytest.raises(InvalidFiberError):
+        fc.witness_from_json(Z3, 3, same_member)
 
 
 def test_fiber_verdict_is_threadsafe_shape():

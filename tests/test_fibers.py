@@ -241,6 +241,14 @@ def test_sweep_capacity_error_reports_total():
     assert err.value.cap == 100
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_sweep_rejects_n_below_one(n):
+    with pytest.raises(ShapeError):
+        fc.multiset_count(Z2, n, 2)
+    with pytest.raises(ShapeError):
+        fc.enumerate_all_fibers(Z2, n, 2)
+
+
 def test_fiber_capacity_error():
     m1, _, _ = walkthrough_multisets()
     with pytest.raises(CapacityError):
@@ -277,6 +285,11 @@ def test_fiber_from_json_rejects_foreign_and_missing_members():
     with pytest.raises(InvalidFiberError):
         fc.fiber_from_json(
             Z2, 3, {"signature": sig, "multisets": [[[0, 0, 0]], [[0, 1, 1]]]}
+        )
+    # the one matching member listed twice
+    with pytest.raises(InvalidFiberError):
+        fc.fiber_from_json(
+            Z2, 3, {"signature": sig, "multisets": [[[0, 0, 0]], [[0, 0, 0]]]}
         )
     _, members = fc.fiber_from_json(Z2, 3, {"signature": sig, "multisets": [[[0, 0, 0]]]})
     assert fc.multiset_to_rows(members[0]) == [[0, 0, 0]]
