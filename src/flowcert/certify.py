@@ -21,12 +21,14 @@ from .errors import (
     IncompatibilityError,
     InvalidFiberError,
     PreconditionError,
+    ShapeError,
 )
 from .fibers import (
     DEFAULT_FIBER_CAP,
     DEFAULT_SWEEP_CAP,
     ColumnSignature,
     FlowMultiset,
+    check_fiber,
     compatible,
     enumerate_all_fibers,
     enumerate_fiber,
@@ -35,7 +37,7 @@ from .fibers import (
     multiset_to_rows,
     signature,
 )
-from .groups import Group, group_from_json, group_to_json
+from .groups import Group, group_from_json, group_to_json, strict_int
 from .moves import Move
 
 
@@ -90,17 +92,9 @@ def _multiset_key(ms: FlowMultiset) -> tuple[tuple[int, ...], ...]:
     return tuple(f.values for f in ms.flows)
 
 
-def _check_single_fiber(fiber: list[FlowMultiset]) -> None:
-    """Input check of the public fiber functions: non-empty, no repeated
-    member, one signature."""
-    if not fiber:
-        raise InvalidFiberError("fiber is empty")
-    if len(set(fiber)) != len(fiber):
-        raise InvalidFiberError("fiber lists a member more than once")
-    sig = signature(fiber[0])
-    for ms in fiber[1:]:
-        if signature(ms) != sig:
-            raise InvalidFiberError("multisets do not share one signature")
+def _check_move_bound(m: int) -> None:
+    if m < 2:
+        raise PreconditionError(f"move bound must be >= 2, got {m}")
 
 
 def fiber_edges(fiber: list[FlowMultiset], m: int) -> list[tuple[int, int]]:
@@ -109,7 +103,7 @@ def fiber_edges(fiber: list[FlowMultiset], m: int) -> list[tuple[int, int]]:
     Compares every pair; the reference for the sub-multiset index that
     :func:`fiber_connected_under` and :func:`find_move_path` use.
     """
-    _check_single_fiber(fiber)
+    check_fiber(fiber)
     size = len(fiber)
     need = fiber[0].degree - m
     if need <= 0:
@@ -129,7 +123,7 @@ def fiber_edges_generative(fiber: list[FlowMultiset], m: int) -> list[tuple[int,
     re-insert every compatible replacement.  Independent cross-check for
     :func:`fiber_edges`; quadratic in practice, test-scale only.
     """
-    _check_single_fiber(fiber)
+    check_fiber(fiber)
     group, n = fiber[0].group, fiber[0].n
     pos = {ms: i for i, ms in enumerate(fiber)}
     replacements: dict[tuple[int, ...], list[FlowMultiset]] = {}
@@ -215,9 +209,8 @@ def fiber_connected_under(fiber: Iterable[FlowMultiset], m: int) -> FiberCompone
     lowest member first and in order of their lowest members.
     """
     members = sorted(fiber, key=_multiset_key)
-    _check_single_fiber(members)
-    if m < 2:
-        raise PreconditionError(f"move bound must be >= 2, got {m}")
+    check_fiber(members)
+    _check_move_bound(m)
     index = _SubmultisetIndex(members, m)
     seen = [False] * len(members)
     comps = []
@@ -255,7 +248,14 @@ def _degree_verdicts(
 
     Each degree's fibers are bucketed only when the caller asks for that
     degree, so a caller that stops early never pays for the next one.
+    The sweep's arguments are checked here for every caller; ``n < 1``
+    raises :class:`ShapeError` when the first degree is bucketed.
     """
+    _check_move_bound(m)
+    if d_max < m:
+        raise PreconditionError(f"d_max={d_max} must be >= m={m}")
+    if sweep_cap < 1:
+        raise PreconditionError(f"sweep_cap must be >= 1, got {sweep_cap}")
     for d in range(2, d_max + 1):
         try:
             fibers = enumerate_all_fibers(group, n, d, cap=sweep_cap)
@@ -286,10 +286,6 @@ def certify_degree(
     the fiber checks are pure Python and hold the GIL, and a thread pool
     measured slower than one thread.
     """
-    if m < 2:
-        raise PreconditionError(f"move bound must be >= 2, got {m}")
-    if d_max < m:
-        raise PreconditionError(f"d_max={d_max} must be >= m={m}")
     if threads < 1:
         raise PreconditionError(f"threads must be >= 1, got {threads}")
     started = time.monotonic()
@@ -419,8 +415,6 @@ def find_indispensable(
     A hit is evidence that generators of degree > m are required at that
     degree; None only means the range [2, d_max] is clean.
     """
-    if m < 2:
-        raise PreconditionError(f"move bound must be >= 2, got {m}")
     for d, verdicts in _degree_verdicts(group, n, d_max, m, sweep_cap=sweep_cap):
         for sig, _, pair in verdicts:
             if pair is not None:
@@ -440,18 +434,13 @@ def witness_to_json(w: Witness) -> dict:
 def witness_from_json(group: Group, n: int, data: dict) -> Witness:
     first = multiset_from_rows(group, n, data["first"])
     second = multiset_from_rows(group, n, data["second"])
-    sig = ColumnSignature(
-        counts=tuple(tuple(int(c) for c in row) for row in data["signature"])
-    )
-    if signature(first) != sig or signature(second) != sig:
-        raise InvalidFiberError("witness multisets do not match the stored signature")
-    degree = int(data["degree"])
+    stored = ColumnSignature(counts=tuple(tuple(row) for row in data["signature"]))
+    sig = check_fiber([first, second], stored)
+    degree = strict_int(data["degree"], InvalidFiberError, "witness degree")
     if degree != sig.degree:
         raise InvalidFiberError(
             f"witness degree {degree} differs from its signature's degree {sig.degree}"
         )
-    if first == second:
-        raise InvalidFiberError("witness names one multiset twice")
     return Witness(degree=degree, signature=sig, first=first, second=second)
 
 
@@ -481,24 +470,29 @@ def report_to_json(report: CertificationReport, *, include_elapsed: bool = True)
 
 
 def report_from_json(data: dict) -> CertificationReport:
+    def integer(obj: dict, key: str) -> int:
+        return strict_int(obj[key], ShapeError, f"report field {key!r}")
+
     group = group_from_json(data["group"])
-    n = int(data["n"])
+    n = integer(data, "n")
     return CertificationReport(
         group=group,
         n=n,
-        d_max=int(data["d_max"]),
-        m=int(data["m"]),
+        d_max=integer(data, "d_max"),
+        m=integer(data, "m"),
         per_degree=tuple(
             DegreeStats(
-                degree=int(s["degree"]),
-                fiber_count=int(s["fiber_count"]),
-                multiset_count=int(s["multiset_count"]),
-                disconnected_count=int(s["disconnected_count"]),
+                degree=integer(s, "degree"),
+                fiber_count=integer(s, "fiber_count"),
+                multiset_count=integer(s, "multiset_count"),
+                disconnected_count=integer(s, "disconnected_count"),
             )
             for s in data["per_degree"]
         ),
         witnesses=tuple(witness_from_json(group, n, w) for w in data["witnesses"]),
         verdict=str(data["verdict"]),
         statement=str(data["statement"]),
-        elapsed_ms=int(data.get("elapsed_ms", 0)),
+        elapsed_ms=strict_int(
+            data.get("elapsed_ms", 0), ShapeError, "report field 'elapsed_ms'"
+        ),
     )

@@ -26,17 +26,20 @@ from .errors import (
     CapacityError,
     FlowcertError,
     InvalidElementError,
+    InvalidGroupError,
     NotAFlowError,
+    PreconditionError,
+    ShapeError,
 )
 from .fibers import (
     DEFAULT_FIBER_CAP,
     DEFAULT_SWEEP_CAP,
     FlowMultiset,
-    make_multiset,
+    multiset_from_rows,
     multiset_to_rows,
     signature,
 )
-from .flows import DEFAULT_FLOW_CAP, enumerate_flows, make_flow, vertex_embedding
+from .flows import DEFAULT_FLOW_CAP, enumerate_flows, vertex_embedding
 from .groups import Group, group_to_json, make_group
 from .moves import move_to_json
 
@@ -57,57 +60,25 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_group(text: str) -> Group:
     try:
-        factors = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise UsageError(f"invalid --group value {text!r}; expected e.g. 3 or 2,2")
-    if not factors:
-        raise UsageError(f"invalid --group value {text!r}; expected e.g. 3 or 2,2")
-    return make_group(factors)
-
-
-def _check_sweep_args(args) -> None:
-    """Reject sweep flags out of range before any work starts."""
-    if args.n < 1:
-        raise UsageError(f"n must be >= 1, got {args.n}")
-    if args.m < 2:
-        raise UsageError(f"m must be >= 2, got {args.m}")
-    if args.dmax < args.m:
-        raise UsageError(f"dmax={args.dmax} must be >= m={args.m}")
-    if args.sweep_cap < 1:
-        raise UsageError(f"sweep cap must be positive, got {args.sweep_cap}")
+        return make_group(int(part) for part in text.split(",") if part.strip())
+    except (ValueError, InvalidGroupError) as exc:
+        raise UsageError(f"invalid --group value {text!r}: {exc}")
 
 
 def load_multiset(path: str, group: Group, n: int) -> FlowMultiset:
-    """Read a JSON array of flow code arrays; reject bad rows by index."""
+    """Read a multiset file: rows bare or under "flows"; errors name the path."""
+    # ValueError covers bytes that are not UTF-8 and malformed JSON
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"{path}: {exc}")
+    rows = data.get("flows") if isinstance(data, dict) else data
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-    if isinstance(data, dict) and isinstance(data.get("flows"), list):
-        rows = data["flows"]
-    elif isinstance(data, list):
-        rows = data
-    else:
-        raise UsageError(f"{path}: expected a JSON array of flow code arrays")
-    if not rows:
-        raise UsageError(f"{path}: no flows")
-    flows = []
-    for r, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise UsageError(f"{path}: row {r}: expected an array of codes")
-        if len(row) != n:
-            raise UsageError(f"{path}: row {r}: expected {n} codes, got {len(row)}")
-        try:
-            flows.append(make_flow(group, row))
-        except NotAFlowError as exc:
-            raise NotAFlowError(f"{path}: row {r}: {exc}", sum_code=exc.sum_code)
-        except InvalidElementError as exc:
-            raise UsageError(f"{path}: row {r}: {exc}")
-    return make_multiset(flows)
+        return multiset_from_rows(group, n, rows)
+    except NotAFlowError as exc:
+        raise NotAFlowError(f"{path}: {exc}", sum_code=exc.sum_code)
+    except (ShapeError, InvalidElementError) as exc:
+        raise UsageError(f"{path}: {exc}")
 
 
 def _dump(data: dict) -> str:
@@ -116,7 +87,10 @@ def _dump(data: dict) -> str:
 
 def _write(args, text: str) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"{args.out}: {exc}")
     else:
         print(text)
 
@@ -202,7 +176,6 @@ def _cmd_path(args) -> int:
 
 def _cmd_certify(args) -> int:
     group = _parse_group(args.group)
-    _check_sweep_args(args)
     report = certify_degree(
         group,
         args.n,
@@ -230,7 +203,6 @@ def _cmd_certify(args) -> int:
 
 def _cmd_witness(args) -> int:
     group = _parse_group(args.group)
-    _check_sweep_args(args)
     witness = find_indispensable(
         group, args.n, args.m, d_max=args.dmax, sweep_cap=args.sweep_cap
     )
@@ -257,10 +229,9 @@ def _cmd_witness(args) -> int:
     return EXIT_OK if witness is None else EXIT_WITNESS
 
 
-def _add_common(sub, *, n=True, fmt=True) -> None:
+def _add_common(sub, *, fmt=True) -> None:
     sub.add_argument("--group", required=True, help="cyclic factors, e.g. 3 or 2,2")
-    if n:
-        sub.add_argument("--n", type=int, required=True, help="number of indices")
+    sub.add_argument("--n", type=int, required=True, help="number of indices")
     if fmt:
         sub.add_argument("--format", choices=("json", "text"), default="json")
         sub.add_argument("--out", default=None, help="write output to a file")
@@ -334,7 +305,7 @@ def run_command(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except (UsageError, PreconditionError, ShapeError) as exc:
         _emit_error("usage", exc)
         return EXIT_USAGE
     except CapacityError as exc:

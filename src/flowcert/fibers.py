@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import CapacityError, InvalidFiberError, ShapeError
+from .errors import CapacityError, FlowcertError, InvalidFiberError, ShapeError
 from .flows import Flow, enumerate_flows, flow_count, make_flow
-from .groups import Group
+from .groups import Group, strict_int
 
 DEFAULT_FIBER_CAP = 1 << 22
 DEFAULT_SWEEP_CAP = 1 << 27
@@ -66,14 +66,26 @@ def make_multiset(flows: Iterable[Flow]) -> FlowMultiset:
     return FlowMultiset(group=group, n=n, flows=tuple(fs))
 
 
-def multiset_from_rows(group: Group, n: int, rows: Iterable[Iterable[int]]) -> FlowMultiset:
-    """Build a multiset from rows of element codes, validating every row."""
+def multiset_from_rows(group: Group, n: int, rows: Sequence[Sequence[int]]) -> FlowMultiset:
+    """Build a multiset from rows of element codes: the one row parser.
+
+    ``rows`` and each row must be lists or tuples, each row ``n`` integer
+    codes summing to the identity.  Errors keep their type and attributes
+    and name the failing row.
+    """
+    if not isinstance(rows, (list, tuple)):
+        raise ShapeError(f"expected a list of rows, got {type(rows).__name__}")
     flows = []
-    for row in rows:
-        vals = tuple(int(v) for v in row)
-        if len(vals) != n:
-            raise ShapeError(f"expected {n} codes per row, got {len(vals)}")
-        flows.append(make_flow(group, vals))
+    for r, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)):
+            raise ShapeError(f"row {r}: expected {n} codes, got {type(row).__name__}")
+        if len(row) != n:
+            raise ShapeError(f"row {r}: expected {n} codes, got {len(row)}")
+        try:
+            flows.append(make_flow(group, row))
+        except FlowcertError as exc:
+            exc.args = (f"row {r}: {exc}",)
+            raise
     return make_multiset(flows)
 
 
@@ -103,6 +115,23 @@ def compatible(m1: FlowMultiset, m2: FlowMultiset) -> bool:
     return signature(m1) == signature(m2)
 
 
+def check_fiber(
+    members: Sequence[FlowMultiset], stored: Optional[ColumnSignature] = None
+) -> ColumnSignature:
+    """The one check of a fiber's members: non-empty, no repeat, and one
+    signature, which is ``stored`` if given; returns that signature."""
+    if not members:
+        raise InvalidFiberError("no members")
+    if len(set(members)) != len(members):
+        raise InvalidFiberError("a member is listed more than once")
+    if stored is not None:
+        _check_signature(stored, members[0].group, members[0].n)
+    sig = signature(members[0]) if stored is None else stored
+    if any(signature(ms) != sig for ms in members):
+        raise InvalidFiberError(f"members do not all have the signature {sig.flat()}")
+    return sig
+
+
 def _check_signature(sig: ColumnSignature, group: Group, n: int) -> int:
     if len(sig.counts) != n:
         raise ShapeError(f"signature has {len(sig.counts)} rows, expected n={n}")
@@ -112,7 +141,7 @@ def _check_signature(sig: ColumnSignature, group: Group, n: int) -> int:
             raise ShapeError(
                 f"signature row {i} has {len(row)} entries, expected {group.order}"
             )
-        if any(c < 0 for c in row):
+        if any(strict_int(c, ShapeError, "signature count") < 0 for c in row):
             raise ShapeError(f"signature row {i} has negative counts")
         total = sum(row)
         if degree is None:
@@ -229,13 +258,6 @@ def fiber_to_json(sig: ColumnSignature, multisets: list[FlowMultiset]) -> dict:
 def fiber_from_json(
     group: Group, n: int, data: dict
 ) -> tuple[ColumnSignature, list[FlowMultiset]]:
-    sig = ColumnSignature(counts=tuple(tuple(int(c) for c in row) for row in data["signature"]))
-    _check_signature(sig, group, n)
+    sig = ColumnSignature(counts=tuple(tuple(row) for row in data["signature"]))
     multisets = [multiset_from_rows(group, n, rows) for rows in data["multisets"]]
-    if not multisets:
-        raise InvalidFiberError("fiber has no multisets")
-    if any(signature(ms) != sig for ms in multisets):
-        raise InvalidFiberError("fiber multisets do not match the stored signature")
-    if len(set(multisets)) != len(multisets):
-        raise InvalidFiberError("fiber lists a multiset more than once")
-    return sig, multisets
+    return check_fiber(multisets, sig), multisets

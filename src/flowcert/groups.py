@@ -11,9 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
+from operator import index
 from typing import Iterable, Sequence
 
-from .errors import InvalidElementError, InvalidGroupError, UnsupportedGroupError
+from .errors import (
+    FlowcertError,
+    InvalidElementError,
+    InvalidGroupError,
+    UnsupportedGroupError,
+)
 
 
 @dataclass(frozen=True)
@@ -24,9 +30,20 @@ class Group:
     order: int
 
 
+def strict_int(value, error: type[FlowcertError], what: str) -> int:
+    """``value`` as an int if :func:`operator.index` accepts it and it is no
+    ``bool``; anything else raises ``error``, so nothing is truncated."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
 def make_group(factors: Iterable[int]) -> Group:
     """Build a group from cyclic factor moduli (each >= 2, list non-empty)."""
-    fs = tuple(int(f) for f in factors)
+    fs = tuple(strict_int(f, InvalidGroupError, "cyclic factor") for f in factors)
     if not fs:
         raise InvalidGroupError("a group needs at least one cyclic factor")
     bad = [f for f in fs if f < 2]
@@ -36,7 +53,7 @@ def make_group(factors: Iterable[int]) -> Group:
 
 
 def check_element(group: Group, code: int) -> int:
-    code = int(code)
+    code = strict_int(code, InvalidElementError, "element code")
     if not 0 <= code < group.order:
         raise InvalidElementError(
             f"element code {code} out of range [0, {group.order})"
@@ -56,7 +73,7 @@ def decode(group: Group, code: int) -> tuple[int, ...]:
 
 def encode(group: Group, residues: Sequence[int]) -> int:
     """Code of a residue tuple; inverse of :func:`decode`."""
-    rs = tuple(int(r) for r in residues)
+    rs = tuple(strict_int(r, InvalidElementError, "residue") for r in residues)
     if len(rs) != len(group.factors):
         raise InvalidElementError(
             f"expected {len(group.factors)} residues, got {len(rs)}"
@@ -132,6 +149,6 @@ def group_to_json(group: Group) -> dict:
 
 
 def group_from_json(data: dict) -> Group:
-    if not isinstance(data, dict) or "factors" not in data:
-        raise InvalidGroupError("group JSON must be an object with a 'factors' key")
+    if not isinstance(data, dict) or not isinstance(data.get("factors"), list):
+        raise InvalidGroupError("group JSON must be an object with a 'factors' list")
     return make_group(data["factors"])

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .fibers import FlowMultiset, compatible, make_multiset
+from .fibers import FlowMultiset, compatible, make_multiset, multiset_from_rows
 from .flows import Flow, _check_same_shape
 from .groups import add_table
 
@@ -129,10 +129,7 @@ def apply_move(m: FlowMultiset, mv: Move) -> FlowMultiset:
     """Replace ``mv.removed`` (contained in m) by ``mv.inserted``."""
     if mv.removed.group != m.group or mv.removed.n != m.n:
         raise ShapeError("move and multiset shapes differ")
-    if mv.removed.degree != mv.inserted.degree or not compatible(
-        mv.removed, mv.inserted
-    ):
-        raise InvalidMoveError("move sides are not compatible")
+    make_move(mv.removed, mv.inserted)  # a Move may be built without make_move
     remaining = Counter(m.flows)
     for fl, count in Counter(mv.removed.flows).items():
         if remaining[fl] < count:
@@ -165,8 +162,9 @@ def find_exchange_subset(
     Requires a prime-order cyclic group, ``f(i) != g(i)`` on all of
     ``differing`` (at least p-1 indices), and ``forced`` disjoint from it.
     Searches the first p-1 differing indices exhaustively, smallest subset
-    first with lexicographic tie-break; a hit is guaranteed there, and the
-    search widens to the full differing set only as a safety net.
+    first with lexicographic tie-break.  A hit is guaranteed there: the
+    subset sums of any p-1 nonzero residues cover all of Z_p
+    (Cauchy-Davenport).
     """
     _check_same_shape(f, g)
     group = f.group
@@ -189,15 +187,11 @@ def find_exchange_subset(
         raise PreconditionError(f"flows agree on differing-set indices {same}")
 
     target = -sum(f.values[i] - g.values[i] for i in forced_idx) % p
-    deltas = {i: (f.values[i] - g.values[i]) % p for i in diff_idx}
-    window = diff_idx[: p - 1]
-    for candidates in (window, diff_idx):
-        for size in range(len(candidates) + 1):
-            for subset in combinations(candidates, size):
-                if sum(deltas[i] for i in subset) % p == target:
-                    return subset
-        if candidates == diff_idx:
-            break
+    deltas = {i: (f.values[i] - g.values[i]) % p for i in diff_idx[: p - 1]}
+    for size in range(p):
+        for subset in combinations(deltas, size):
+            if sum(deltas[i] for i in subset) % p == target:
+                return subset
     raise RuntimeError(
         "internal invariant violated: no exchange subset found although the "
         f"preconditions hold (p={p}, target={target}, deltas={deltas})"
@@ -244,8 +238,6 @@ def move_to_json(mv: Move) -> dict:
 
 
 def move_from_json(group, n: int, data: dict) -> Move:
-    from .fibers import multiset_from_rows
-
     return make_move(
         multiset_from_rows(group, n, data["out"]),
         multiset_from_rows(group, n, data["in"]),

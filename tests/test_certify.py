@@ -378,3 +378,48 @@ def test_sweep_does_not_recompute_signatures(monkeypatch):
     report = fc.certify_degree(Z3, 3, 4, 2, find_all=True)
     assert report.verdict == "not-verified" and report.witnesses
     assert fc.find_indispensable(Z3, 3, 2).degree == 3
+
+
+def test_sweep_arguments_are_checked_for_every_caller():
+    # the witness search used to check only m, and answered "clean" here
+    with pytest.raises(PreconditionError):
+        fc.find_indispensable(Z3, 3, 3, d_max=2)
+    with pytest.raises(PreconditionError):
+        fc.find_indispensable(Z3, 3, 1)
+    for cap in (0, -1):
+        with pytest.raises(PreconditionError):
+            fc.find_indispensable(Z3, 3, 2, sweep_cap=cap)
+        # a cap below one is a bad argument, not an exceeded capacity
+        with pytest.raises(PreconditionError):
+            fc.certify_degree(Z3, 3, 4, 2, sweep_cap=cap)
+    with pytest.raises(PreconditionError):
+        fc.certify_degree(Z3, 3, 4, 2, sweep_cap=0, find_all=True)
+
+
+def test_witness_from_json_reads_integers_strictly():
+    w = frozen_witness(Z3, 3, WITNESS_Z3_N3)
+    data = fc.witness_to_json(w)
+    for degree in (3.7, 3.0, "3", True):
+        with pytest.raises(InvalidFiberError):
+            fc.witness_from_json(Z3, 3, dict(data, degree=degree))
+    for count in (1.0, 1.5):
+        signature = [list(row) for row in data["signature"]]
+        signature[0][0] = count
+        with pytest.raises(fc.FlowcertError):
+            fc.witness_from_json(Z3, 3, dict(data, signature=signature))
+    first = [list(row) for row in data["first"]]
+    first[0][1] = 0.0
+    with pytest.raises(fc.InvalidElementError, match="row 0"):
+        fc.witness_from_json(Z3, 3, dict(data, first=first))
+
+
+def test_report_from_json_reads_integers_strictly():
+    data = fc.report_to_json(fc.certify_degree(Z2, 3, 3, 2))
+    for key in ("n", "d_max", "m", "elapsed_ms"):
+        with pytest.raises(ShapeError, match=key):
+            fc.report_from_json(dict(data, **{key: 2.5}))
+    stats = dict(data["per_degree"][0], fiber_count=1.0)
+    with pytest.raises(ShapeError, match="fiber_count"):
+        fc.report_from_json(dict(data, per_degree=[stats]))
+    with pytest.raises(fc.InvalidGroupError):
+        fc.report_from_json(dict(data, group={"factors": "2"}))

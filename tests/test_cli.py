@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -285,3 +289,64 @@ def test_run_config_validation(capsys):
 def test_help_exits_zero(capsys):
     assert run_command(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_compat_rejects_non_integer_codes_without_traceback(tmp_path):
+    # through the console entry point, so a traceback would reach stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for i, value in enumerate(('"a"', "null", "NaN", "1.5", "[1]")):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(f"[[0, {value}, 1]]", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowcert.cli", "compat", "--group", "2",
+             "--n", "3", "--a", str(path), "--b", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_USAGE, value
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "usage"
+        assert error["message"].startswith(f"{path}: row 0: ")
+
+
+def test_load_multiset_rejects_malformed_rows_as_usage_errors(tmp_path):
+    for rows in ([[0, 1.5, 1]], ["011"], [[True, True, False]], {"flows": 3},
+                 {"rows": []}, [], 7):
+        path = write_rows(tmp_path, "rows.json", rows)
+        with pytest.raises(UsageError) as err:
+            load_multiset(path, Z2, 3)
+        assert str(err.value).startswith(f"{path}: ")
+    # bytes that are not UTF-8, and arrays nested past the parser's depth
+    for i, data in enumerate((b"\xff\xfe[[0, 0, 0]]", b"[" * 100_000)):
+        path = tmp_path / f"raw{i}.json"
+        path.write_bytes(data)
+        with pytest.raises(UsageError):
+            load_multiset(str(path), Z2, 3)
+    path = write_rows(tmp_path, "env.json", {"flows": [[0, 1, 1], [1, 1, 0]]})
+    assert load_multiset(path, Z2, 3).degree == 2
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "flows", "--group", "2", "--n", "3",
+                         "--out", str(tmp_path))
+    assert code == EXIT_USAGE and out == ""
+    assert json.loads(err)["error"]["type"] == "usage"
+
+
+def test_library_argument_errors_are_usage_errors(tmp_path, capsys):
+    a = write_rows(tmp_path, "a.json", [[0, 0, 0]])
+    for argv in (
+        ["flows", "--group", "2", "--n", "0"],
+        ["export-matrix", "--group", "2", "--n", "0"],
+        ["path", "--group", "2", "--n", "3", "--a", a, "--b", a, "--m", "0"],
+        ["witness", "--group", "3", "--n", "3", "--m", "3", "--dmax", "2"],
+        ["flows", "--group", "1", "--n", "3"],
+        ["flows", "--group", ",", "--n", "3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == "", argv
+        assert json.loads(err)["error"]["type"] == "usage", argv

@@ -302,3 +302,35 @@ def test_make_multiset_requires_uniform_shape():
         fc.make_multiset(
             [fc.make_flow(Z2, [0, 0, 0]), fc.make_flow(Z3, [0, 0, 0])]
         )
+
+
+def test_multiset_from_rows_reads_integers_strictly():
+    for rows in ([[0, 1.5, 1]], [[0, 1.0, 1]], [[True, True, False]],
+                 [[0, None, 1]], [[0, "1", 1]], [[0, [1], 1]]):
+        with pytest.raises(fc.InvalidElementError, match="row 0"):
+            fc.multiset_from_rows(Z2, 3, rows)
+    # a string is not a row, and a bare row is not a list of rows
+    for rows in (["011"], [{"0": 0}], "011", None, [0, 1, 1]):
+        with pytest.raises(ShapeError):
+            fc.multiset_from_rows(Z2, 3, rows)
+    assert fc.multiset_to_rows(fc.multiset_from_rows(Z2, 3, ((0, 1, 1),))) == [[0, 1, 1]]
+
+
+def test_multiset_from_rows_messages_name_the_row():
+    rows = [list(r) for r in M1_ROWS] + [[0, 0, 0, 0, 0]]
+    with pytest.raises(ShapeError, match=r"^row 3: expected 6 codes, got 5$"):
+        fc.multiset_from_rows(Z2, 6, rows)
+    with pytest.raises(fc.NotAFlowError, match=r"^row 1: values .* sum to") as err:
+        fc.multiset_from_rows(Z3, 3, [[0, 0, 0], [1, 1, 0]])
+    assert err.value.sum_code == 2
+    with pytest.raises(fc.InvalidElementError, match=r"^row 2: element code 5"):
+        fc.multiset_from_rows(Z3, 3, [[0, 0, 0], [1, 1, 1], [5, 0, 1]])
+    with pytest.raises(ShapeError, match=r"^row 0: expected 3 codes, got str$"):
+        fc.multiset_from_rows(Z2, 3, ["011"])
+
+
+def test_fiber_from_json_rejects_non_integer_counts():
+    for sig in ([[1.0, 0], [1, 0], [1, 0]], [[1.5, 0], [1, 0], [1, 0]],
+                [[True, 0], [1, 0], [1, 0]]):
+        with pytest.raises(ShapeError):
+            fc.fiber_from_json(Z2, 3, {"signature": sig, "multisets": [[[0, 0, 0]]]})

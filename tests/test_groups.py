@@ -136,3 +136,36 @@ def test_group_json_round_trip():
     assert fc.group_from_json(fc.group_to_json(g)) == g
     with pytest.raises(InvalidGroupError):
         fc.group_from_json({"order": 6})
+
+
+class _Index:
+    """An integer-like object: what ``operator.index`` accepts."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_integers_are_read_strictly_and_never_truncated():
+    g = fc.make_group([3])
+    for bad in (1.5, 1.0, "1", None, [1], True, float("nan")):
+        with pytest.raises(InvalidElementError):
+            fc.decode(g, bad)
+        with pytest.raises(InvalidElementError):
+            fc.encode(g, [bad])
+        with pytest.raises(InvalidGroupError):
+            fc.make_group([bad])
+    assert fc.decode(g, _Index(2)) == (2,)
+    assert fc.encode(g, [_Index(1)]) == 1
+    assert fc.make_group([_Index(3)]) == g
+
+
+def test_group_from_json_requires_a_list_of_integer_factors():
+    # a string would otherwise be read as the factors 2 and 3
+    for data in ({"factors": "23"}, {"factors": [2.5]}, {"factors": 3},
+                 {"factors": [True, 3]}, {"factors": None}):
+        with pytest.raises(InvalidGroupError):
+            fc.group_from_json(data)
+    assert fc.group_from_json({"factors": [2, 3]}).factors == (2, 3)

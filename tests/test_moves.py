@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -307,3 +308,22 @@ def test_move_json_round_trip():
     data = fc.move_to_json(mv)
     assert fc.move_from_json(Z3, 3, data) == mv
     assert set(data) == {"out", "in"}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_exchange_subset_window_reaches_every_target(p):
+    # the subset sums of any p-1 nonzero residues cover Z_p, so the search
+    # over the first p-1 differing indices never misses: check every
+    # multiset of p-1 nonzero deltas against every target
+    group = fc.make_group([p])
+    window = list(range(p - 1))
+    forced = [p - 1]  # carries the target; the last index balances f
+    for deltas in combinations_with_replacement(range(1, p), p - 1):
+        for shift in range(p):
+            head = list(deltas) + [shift]
+            f = fc.make_flow(group, head + [-sum(head) % p])
+            g = fc.make_flow(group, [0] * (p + 1))
+            subset = fc.find_exchange_subset(f, g, window, forced)
+            assert set(subset) <= set(window)
+            assert (shift + sum(deltas[i] for i in subset)) % p == 0
+            fc.exchange_pair(f, g, forced + list(subset))
