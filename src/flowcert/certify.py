@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -36,8 +36,9 @@ from .fibers import (
     multiset_from_rows,
     multiset_to_rows,
     signature,
+    signature_from_json,
 )
-from .groups import Group, group_from_json, group_to_json, strict_int
+from .groups import Group, group_from_json, group_to_json, json_fields, strict_int
 from .moves import Move
 
 
@@ -63,6 +64,12 @@ class DegreeStats:
     fiber_count: int
     multiset_count: int
     disconnected_count: int
+
+    def __str__(self) -> str:
+        return (
+            f"degree {self.degree}: {self.fiber_count} fibers, "
+            f"{self.multiset_count} multisets, {self.disconnected_count} disconnected"
+        )
 
 
 @dataclass(frozen=True)
@@ -182,43 +189,46 @@ class _SubmultisetIndex:
             out.extend(self.buckets.pop(sub, ()))
         return out
 
-    def reach(self, root: int, seen: list[bool]) -> list[int]:
-        """Positions of ``root``'s component, root first; marks them in ``seen``.
+    def components(self) -> Iterator[list[int]]:
+        """Positions of each component, lowest member first, in order of
+        their lowest members: the one traversal that labels components.
 
-        The one traversal that labels components.  Buckets taken here are
-        gone, so later reaches on the same index find only other components.
+        Each reach starts at the lowest member not yet reached.  Buckets
+        taken by one reach are gone, so later reaches find only other
+        components.
         """
-        seen[root] = True
-        comp, stack = [root], [root]
-        while stack:
-            for j in self.take(stack.pop()):
-                if not seen[j]:
-                    seen[j] = True
-                    comp.append(j)
-                    stack.append(j)
-        return comp
+        seen = [False] * len(self.subs)
+        for root in range(len(seen)):
+            if seen[root]:
+                continue
+            seen[root] = True
+            comp, stack = [root], [root]
+            while stack:
+                for j in self.take(stack.pop()):
+                    if not seen[j]:
+                        seen[j] = True
+                        comp.append(j)
+                        stack.append(j)
+            yield comp
 
 
 def fiber_connected_under(fiber: Iterable[FlowMultiset], m: int) -> FiberComponents:
     """Decompose one fiber into components under moves of degree <= m.
 
-    Components are labelled by reaches through the (d - m)-sub-multiset
-    index, which yields the same adjacency as :func:`fiber_edges` without
-    comparing all pairs.  Members are sorted by key once and each reach
-    starts at the lowest member not yet seen, so the components come out
-    lowest member first and in order of their lowest members.
+    Components come from the (d - m)-sub-multiset index, which yields the
+    same adjacency as :func:`fiber_edges` without comparing all pairs.
+    Members are sorted by key once, so the components come out lowest
+    member first and in order of their lowest members.
     """
     members = sorted(fiber, key=_multiset_key)
     check_fiber(members)
     _check_move_bound(m)
-    index = _SubmultisetIndex(members, m)
-    seen = [False] * len(members)
-    comps = []
-    for root in range(len(members)):
-        if not seen[root]:
-            comp = sorted(index.reach(root, seen))
-            comps.append(tuple(members[i] for i in comp))
-    return FiberComponents(components=tuple(comps))
+    return FiberComponents(
+        components=tuple(
+            tuple(members[i] for i in sorted(comp))
+            for comp in _SubmultisetIndex(members, m).components()
+        )
+    )
 
 
 def _fiber_verdict(
@@ -228,16 +238,16 @@ def _fiber_verdict(
 
     Takes fibers as :func:`enumerate_all_fibers` yields them and checks
     nothing again: every member was built to have the signature it is
-    bucketed under, and members come in ascending key order.  One reach
-    from member 0 then decides connectivity, and the pair (member 0, first
-    member not reached) is the lowest member of each of the two lowest
-    components, as :func:`fiber_connected_under` would order them.
+    bucketed under, and members come in ascending key order.  The first
+    two components decide connectivity, and their roots are the lowest
+    member of each of the two lowest components, as
+    :func:`fiber_connected_under` would order them.
     """
     sig, fiber = item
-    seen = [False] * len(fiber)
-    if len(_SubmultisetIndex(fiber, m).reach(0, seen)) == len(fiber):
-        return sig, len(fiber), None
-    return sig, len(fiber), (fiber[0], fiber[seen.index(False)])
+    comps = _SubmultisetIndex(fiber, m).components()
+    next(comps)
+    second = next(comps, None)
+    return sig, len(fiber), None if second is None else (fiber[0], fiber[second[0]])
 
 
 def _degree_verdicts(
@@ -295,19 +305,15 @@ def certify_degree(
         fiber_count = 0
         multisets = 0
         disconnected = 0
-        first_pair: Optional[Witness] = None
         for sig, size, pair in verdicts:
             fiber_count += 1
             multisets += size
             if pair is not None:
                 disconnected += 1
-                w = Witness(degree=d, signature=sig, first=pair[0], second=pair[1])
-                if find_all:
-                    witnesses.append(w)
-                elif first_pair is None:
-                    first_pair = w
-        if first_pair is not None:
-            witnesses.append(first_pair)
+                if find_all or disconnected == 1:
+                    witnesses.append(
+                        Witness(degree=d, signature=sig, first=pair[0], second=pair[1])
+                    )
         per_degree.append(
             DegreeStats(
                 degree=d,
@@ -317,10 +323,7 @@ def certify_degree(
             )
         )
         if progress is not None:
-            progress(
-                f"degree {d}: {fiber_count} fibers, {multisets} multisets, "
-                f"{disconnected} disconnected"
-            )
+            progress(str(per_degree[-1]))
         if disconnected and not find_all:
             break
     if witnesses:
@@ -432,11 +435,15 @@ def witness_to_json(w: Witness) -> dict:
 
 
 def witness_from_json(group: Group, n: int, data: dict) -> Witness:
-    first = multiset_from_rows(group, n, data["first"])
-    second = multiset_from_rows(group, n, data["second"])
-    stored = ColumnSignature(counts=tuple(tuple(row) for row in data["signature"]))
-    sig = check_fiber([first, second], stored)
-    degree = strict_int(data["degree"], InvalidFiberError, "witness degree")
+    first_rows, second_rows, sig_rows, degree = json_fields(
+        data,
+        "witness",
+        {"first": object, "second": object, "signature": list, "degree": object},
+    )
+    first = multiset_from_rows(group, n, first_rows)
+    second = multiset_from_rows(group, n, second_rows)
+    sig = check_fiber([first, second], signature_from_json(sig_rows))
+    degree = strict_int(degree, InvalidFiberError, "witness degree")
     if degree != sig.degree:
         raise InvalidFiberError(
             f"witness degree {degree} differs from its signature's degree {sig.degree}"
@@ -451,15 +458,7 @@ def report_to_json(report: CertificationReport, *, include_elapsed: bool = True)
         "n": report.n,
         "d_max": report.d_max,
         "m": report.m,
-        "per_degree": [
-            {
-                "degree": s.degree,
-                "fiber_count": s.fiber_count,
-                "multiset_count": s.multiset_count,
-                "disconnected_count": s.disconnected_count,
-            }
-            for s in report.per_degree
-        ],
+        "per_degree": [asdict(s) for s in report.per_degree],
         "witnesses": [witness_to_json(w) for w in report.witnesses],
         "verdict": report.verdict,
         "statement": report.statement,
@@ -473,6 +472,20 @@ def report_from_json(data: dict) -> CertificationReport:
     def integer(obj: dict, key: str) -> int:
         return strict_int(obj[key], ShapeError, f"report field {key!r}")
 
+    keys = [f.name for f in fields(DegreeStats)]
+
+    def stats(entry: dict) -> DegreeStats:
+        json_fields(entry, "per_degree entry", dict.fromkeys(keys, object))
+        return DegreeStats(**{key: integer(entry, key) for key in keys})
+
+    json_fields(
+        data,
+        "report",
+        {
+            "group": object, "n": object, "d_max": object, "m": object,
+            "per_degree": list, "witnesses": list, "verdict": str, "statement": str,
+        },
+    )
     group = group_from_json(data["group"])
     n = integer(data, "n")
     return CertificationReport(
@@ -480,18 +493,10 @@ def report_from_json(data: dict) -> CertificationReport:
         n=n,
         d_max=integer(data, "d_max"),
         m=integer(data, "m"),
-        per_degree=tuple(
-            DegreeStats(
-                degree=integer(s, "degree"),
-                fiber_count=integer(s, "fiber_count"),
-                multiset_count=integer(s, "multiset_count"),
-                disconnected_count=integer(s, "disconnected_count"),
-            )
-            for s in data["per_degree"]
-        ),
+        per_degree=tuple(stats(s) for s in data["per_degree"]),
         witnesses=tuple(witness_from_json(group, n, w) for w in data["witnesses"]),
-        verdict=str(data["verdict"]),
-        statement=str(data["statement"]),
+        verdict=data["verdict"],
+        statement=data["statement"],
         elapsed_ms=strict_int(
             data.get("elapsed_ms", 0), ShapeError, "report field 'elapsed_ms'"
         ),

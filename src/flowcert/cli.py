@@ -100,15 +100,14 @@ def _progress(message: str) -> None:
 
 
 def _cmd_flows(args) -> int:
-    group = _parse_group(args.group)
-    flows = enumerate_flows(group, args.n, cap=args.flow_cap)
+    flows = enumerate_flows(args.group, args.n, cap=args.flow_cap)
     if args.format == "text":
         text = "\n".join(" ".join(str(v) for v in f.values) for f in flows)
     else:
         text = _dump(
             {
                 "format": 1,
-                "group": group_to_json(group),
+                "group": group_to_json(args.group),
                 "n": args.n,
                 "flows": [list(f.values) for f in flows],
             }
@@ -118,9 +117,8 @@ def _cmd_flows(args) -> int:
 
 
 def _cmd_export_matrix(args) -> int:
-    group = _parse_group(args.group)
-    flows = enumerate_flows(group, args.n, cap=args.flow_cap)
-    lines = [f"{len(flows)} {args.n * group.order}"]
+    flows = enumerate_flows(args.group, args.n, cap=args.flow_cap)
+    lines = [f"{len(flows)} {args.n * args.group.order}"]
     for f in flows:
         lines.append(" ".join(str(c) for c in vertex_embedding(f).coords))
     _write(args, "\n".join(lines))
@@ -128,9 +126,8 @@ def _cmd_export_matrix(args) -> int:
 
 
 def _cmd_compat(args) -> int:
-    group = _parse_group(args.group)
-    a = load_multiset(args.a, group, args.n)
-    b = load_multiset(args.b, group, args.n)
+    a = load_multiset(args.a, args.group, args.n)
+    b = load_multiset(args.b, args.group, args.n)
     sig_a, sig_b = signature(a), signature(b)
     if a.degree != b.degree:
         differing = list(range(args.n))
@@ -151,9 +148,8 @@ def _cmd_compat(args) -> int:
 
 
 def _cmd_path(args) -> int:
-    group = _parse_group(args.group)
-    a = load_multiset(args.a, group, args.n)
-    b = load_multiset(args.b, group, args.n)
+    a = load_multiset(args.a, args.group, args.n)
+    b = load_multiset(args.b, args.group, args.n)
     moves = find_move_path(a, b, args.m, fiber_cap=args.fiber_cap)
     connected = moves is not None
     if args.format == "text":
@@ -175,9 +171,8 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    group = _parse_group(args.group)
     report = certify_degree(
-        group,
+        args.group,
         args.n,
         args.dmax,
         args.m,
@@ -187,14 +182,7 @@ def _cmd_certify(args) -> int:
     )
     print(f"elapsed: {report.elapsed_ms} ms", file=sys.stderr)
     if args.format == "text":
-        lines = []
-        for s in report.per_degree:
-            lines.append(
-                f"degree {s.degree}: {s.fiber_count} fibers, "
-                f"{s.multiset_count} multisets, {s.disconnected_count} disconnected"
-            )
-        lines.append(report.statement)
-        text = "\n".join(lines)
+        text = "\n".join([str(s) for s in report.per_degree] + [report.statement])
     else:
         text = _dump(report_to_json(report, include_elapsed=False))
     _write(args, text)
@@ -202,9 +190,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    group = _parse_group(args.group)
     witness = find_indispensable(
-        group, args.n, args.m, d_max=args.dmax, sweep_cap=args.sweep_cap
+        args.group, args.n, args.m, d_max=args.dmax, sweep_cap=args.sweep_cap
     )
     if args.format == "text":
         if witness is None:
@@ -218,7 +205,7 @@ def _cmd_witness(args) -> int:
     else:
         payload = {
             "format": 1,
-            "group": group_to_json(group),
+            "group": group_to_json(args.group),
             "n": args.n,
             "m": args.m,
             "d_max": args.dmax,
@@ -230,7 +217,9 @@ def _cmd_witness(args) -> int:
 
 
 def _add_common(sub, *, fmt=True) -> None:
-    sub.add_argument("--group", required=True, help="cyclic factors, e.g. 3 or 2,2")
+    sub.add_argument(
+        "--group", type=_parse_group, required=True, help="cyclic factors, e.g. 3 or 2,2"
+    )
     sub.add_argument("--n", type=int, required=True, help="number of indices")
     if fmt:
         sub.add_argument("--format", choices=("json", "text"), default="json")

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapacityError, FlowcertError, InvalidFiberError, ShapeError
 from .flows import Flow, enumerate_flows, flow_count, make_flow
-from .groups import Group, strict_int
+from .groups import Group, json_fields, strict_int
 
 DEFAULT_FIBER_CAP = 1 << 22
 DEFAULT_SWEEP_CAP = 1 << 27
@@ -227,20 +227,22 @@ def enumerate_all_fibers(
 def _iter_fibers(
     group: Group, n: int, d: int, flows: list[Flow]
 ) -> Iterator[tuple[ColumnSignature, list[FlowMultiset]]]:
-    order = group.order
-    width = n * order
-    # flat coordinate hit per flow: one increment position per index
-    hits = [tuple(i * order + v for i, v in enumerate(f.values)) for f in flows]
-    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for combo in combinations_with_replacement(range(len(flows)), d):
-        key = [0] * width
-        for j in combo:
-            for p in hits[j]:
-                key[p] += 1
-        buckets.setdefault(tuple(key), []).append(combo)
+    # A flow's code is its one-hot signature read as a base-(d+1) integer,
+    # coordinate 0 most significant, and a multiset's key is the sum of its
+    # flows' codes.  No count exceeds d, so keys order as flat signatures do.
+    order, base = group.order, d + 1
+    weights = [base**p for p in reversed(range(n * order))]
+    codes = [sum(weights[i * order + v] for i, v in enumerate(f.values)) for f in flows]
+    buckets: dict[int, list[tuple[int, ...]]] = {}
+    for combo, combo_codes in zip(
+        combinations_with_replacement(range(len(flows)), d),
+        combinations_with_replacement(codes, d),
+    ):
+        buckets.setdefault(sum(combo_codes), []).append(combo)
     for key in sorted(buckets):
+        flat = [key // w % base for w in weights]
         sig = ColumnSignature(
-            counts=tuple(key[i * order : (i + 1) * order] for i in range(n))
+            counts=tuple(tuple(flat[i * order : (i + 1) * order]) for i in range(n))
         )
         yield sig, [
             FlowMultiset(group=group, n=n, flows=tuple(flows[j] for j in combo))
@@ -255,9 +257,15 @@ def fiber_to_json(sig: ColumnSignature, multisets: list[FlowMultiset]) -> dict:
     }
 
 
+def signature_from_json(rows: list) -> ColumnSignature:
+    if not all(isinstance(row, list) for row in rows):
+        raise ShapeError(f"signature rows must be lists of counts, got {rows!r}")
+    return ColumnSignature(counts=tuple(tuple(row) for row in rows))
+
+
 def fiber_from_json(
     group: Group, n: int, data: dict
 ) -> tuple[ColumnSignature, list[FlowMultiset]]:
-    sig = ColumnSignature(counts=tuple(tuple(row) for row in data["signature"]))
-    multisets = [multiset_from_rows(group, n, rows) for rows in data["multisets"]]
-    return check_fiber(multisets, sig), multisets
+    rows, members = json_fields(data, "fiber", {"signature": list, "multisets": list})
+    multisets = [multiset_from_rows(group, n, ms) for ms in members]
+    return check_fiber(multisets, signature_from_json(rows)), multisets

@@ -18,7 +18,7 @@ from .errors import (
     NotAFlowError,
     ShapeError,
 )
-from .groups import Group, add_table, check_element, neg_table
+from .groups import Group, add_table, check_element, neg_table, strict_int
 
 DEFAULT_FLOW_CAP = 1 << 24
 
@@ -129,7 +129,7 @@ def negate(flow: Flow) -> Flow:
 def permute(flow: Flow, sigma: Sequence[int]) -> Flow:
     """Reindex by a bijection of positions: output position sigma[i] gets values[i]."""
     n = flow.n
-    sig = tuple(int(s) for s in sigma)
+    sig = tuple(strict_int(s, InvalidPermutationError, "permutation entry") for s in sigma)
     if len(sig) != n or sorted(sig) != list(range(n)):
         raise InvalidPermutationError(f"{sig} is not a permutation of range({n})")
     vals = [0] * n
@@ -148,4 +148,5 @@ def automorph(flow: Flow, pi: Sequence[int]) -> Flow:
         raise ShapeError(
             f"automorphism acts on {len(pi)} codes, group has order {flow.group.order}"
         )
-    return Flow(group=flow.group, values=tuple(pi[v] for v in flow.values))
+    codes = tuple(check_element(flow.group, c) for c in pi)
+    return Flow(group=flow.group, values=tuple(codes[v] for v in flow.values))

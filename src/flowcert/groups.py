@@ -18,6 +18,7 @@ from .errors import (
     FlowcertError,
     InvalidElementError,
     InvalidGroupError,
+    ShapeError,
     UnsupportedGroupError,
 )
 
@@ -39,6 +40,23 @@ def strict_int(value, error: type[FlowcertError], what: str) -> int:
         except TypeError:
             pass
     raise error(f"{what} must be an integer, got {value!r}")
+
+
+def json_fields(data, what: str, kinds: dict[str, type]) -> tuple:
+    """The values of the JSON object ``data`` under the keys of ``kinds``,
+    each an instance of its kind; a non-object, a missing key or a value of
+    the wrong kind raises :class:`ShapeError` naming it."""
+    if not isinstance(data, dict):
+        raise ShapeError(f"{what} must be a JSON object, got {type(data).__name__}")
+    for key, kind in kinds.items():
+        if key not in data:
+            raise ShapeError(f"{what} has no {key!r} key")
+        if not isinstance(data[key], kind):
+            raise ShapeError(
+                f"{what} field {key!r} must be a {kind.__name__}, "
+                f"got {type(data[key]).__name__}"
+            )
+    return tuple(data[key] for key in kinds)
 
 
 def make_group(factors: Iterable[int]) -> Group:

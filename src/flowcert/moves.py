@@ -25,7 +25,7 @@ from .errors import (
 )
 from .fibers import FlowMultiset, compatible, make_multiset, multiset_from_rows
 from .flows import Flow, _check_same_shape
-from .groups import add_table
+from .groups import add_table, json_fields, strict_int
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,8 @@ def make_move(removed: FlowMultiset, inserted: FlowMultiset) -> Move:
 
 
 def make_coloring(num_colors: int, values: Iterable[int]) -> Coloring:
-    vals = tuple(int(v) for v in values)
+    num_colors = strict_int(num_colors, ShapeError, "number of colors")
+    vals = tuple(strict_int(v, ShapeError, "color value") for v in values)
     if num_colors < 1:
         raise ShapeError(f"need at least one color, got {num_colors}")
     bad = [v for v in vals if not 0 <= v <= num_colors]
@@ -82,7 +83,7 @@ def make_coloring(num_colors: int, values: Iterable[int]) -> Coloring:
 
 
 def _normalize_indices(indices: Iterable[int], n: int) -> tuple[int, ...]:
-    idx = sorted(int(i) for i in indices)
+    idx = sorted(strict_int(i, ShapeError, "index") for i in indices)
     for i in idx:
         if not 0 <= i < n:
             raise ShapeError(f"index {i} out of range [0, {n})")
@@ -118,10 +119,11 @@ def exchange_pair(f: Flow, g: Flow, indices: Iterable[int]) -> tuple[Flow, Flow]
 def apply_pair_exchange(m: FlowMultiset, ex: PairExchange) -> FlowMultiset:
     """Apply an in-multiset pair exchange, returning the new multiset."""
     d = m.degree
-    if not (0 <= ex.a < d and 0 <= ex.b < d) or ex.a == ex.b:
-        raise ShapeError(f"flow positions ({ex.a}, {ex.b}) invalid for degree {d}")
-    f2, g2 = exchange_pair(m.flows[ex.a], m.flows[ex.b], ex.indices)
-    rest = [fl for k, fl in enumerate(m.flows) if k not in (ex.a, ex.b)]
+    a, b = (strict_int(k, ShapeError, "flow position") for k in (ex.a, ex.b))
+    if not (0 <= a < d and 0 <= b < d) or a == b:
+        raise ShapeError(f"flow positions ({a}, {b}) invalid for degree {d}")
+    f2, g2 = exchange_pair(m.flows[a], m.flows[b], ex.indices)
+    rest = [fl for k, fl in enumerate(m.flows) if k not in (a, b)]
     return make_multiset(rest + [f2, g2])
 
 
@@ -209,6 +211,7 @@ def transform_colorings(
     if f1.num_colors != f2.num_colors or len(f1.values) != len(f2.values):
         raise ShapeError("colorings must share length and number of colors")
     n = len(f1.values)
+    k1, k2 = (strict_int(k, ShapeError, "position") for k in (k1, k2))
     for k in (k1, k2):
         if not 0 <= k < n:
             raise ShapeError(f"position {k} out of range [0, {n})")
@@ -238,7 +241,5 @@ def move_to_json(mv: Move) -> dict:
 
 
 def move_from_json(group, n: int, data: dict) -> Move:
-    return make_move(
-        multiset_from_rows(group, n, data["out"]),
-        multiset_from_rows(group, n, data["in"]),
-    )
+    out, ins = json_fields(data, "move", {"out": object, "in": object})
+    return make_move(multiset_from_rows(group, n, out), multiset_from_rows(group, n, ins))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import threading
 
@@ -7,7 +9,7 @@ import pytest
 
 import flowcert as fc
 import flowcert.certify as certify_module
-from flowcert.certify import _fiber_verdict
+from flowcert.certify import _fiber_verdict, _SubmultisetIndex
 from flowcert.errors import (
     CapacityError,
     IncompatibilityError,
@@ -20,6 +22,7 @@ from oracles import edge_components, reference_move_path
 Z2 = fc.make_group([2])
 Z3 = fc.make_group([3])
 Z2xZ2 = fc.make_group([2, 2])
+Z4 = fc.make_group([4])
 
 # lowest disconnected locus for Z3 under quadric moves, frozen after the
 # generative-edge oracle confirmed the disconnection
@@ -423,3 +426,131 @@ def test_report_from_json_reads_integers_strictly():
         fc.report_from_json(dict(data, per_degree=[stats]))
     with pytest.raises(fc.InvalidGroupError):
         fc.report_from_json(dict(data, group={"factors": "2"}))
+
+
+# (group, n, d_max, m, per-degree (degree, fibers, multisets, disconnected) of
+# the full sweep, SHA-256 of the report JSON by default and with find_all),
+# frozen from the tuple-keyed sweep that the integer keys replaced
+FROZEN_SWEEPS = [
+    (Z2, 6, 4, 2, ((2, 333, 528, 0), (3, 1856, 5984, 0), (4, 7109, 52360, 0)),
+     "cd31cd780c42f18b71b886a9e3d750419f4d96256a4e2d202fd895188075ff89",
+     "cd31cd780c42f18b71b886a9e3d750419f4d96256a4e2d202fd895188075ff89"),
+    (Z2, 5, 5, 2,
+     ((2, 106, 136, 0), (3, 432, 816, 0), (4, 1307, 3876, 0), (5, 3248, 15504, 0)),
+     "02551bd672ee9af1b2bb542d3a5ca70fe5d8a9b104a22bcba91376117bc350c4",
+     "02551bd672ee9af1b2bb542d3a5ca70fe5d8a9b104a22bcba91376117bc350c4"),
+    (Z2, 5, 5, 3,
+     ((2, 106, 136, 0), (3, 432, 816, 0), (4, 1307, 3876, 0), (5, 3248, 15504, 0)),
+     "20636050f492bf7ac2b121509e937eabc06b40717fd7582b7a4d64ce7965d3c3",
+     "20636050f492bf7ac2b121509e937eabc06b40717fd7582b7a4d64ce7965d3c3"),
+    (Z3, 3, 4, 2, ((2, 45, 45, 0), (3, 163, 165, 1), (4, 477, 495, 9)),
+     "82ea96286eb5fcafd66382b0c552396c0049997ae0be18222bbcc18748dc240e",
+     "85d65ad27b80c4befca5e17e344f404c85b029573c0519e4d1035d1edd59c4e8"),
+    (Z3, 4, 4, 2, ((2, 324, 378, 0), (3, 2308, 3654, 12), (4, 11475, 27405, 108)),
+     "35f14d491c73113d764e0b660f116140a542bfeb064d11b108ac64c143316c1c",
+     "5cd0d9d23e4d5ffe26edfa033f47ac737b28c075c5f62ae73d1cb07bc77e0f32"),
+    (Z3, 4, 4, 3, ((2, 324, 378, 0), (3, 2308, 3654, 0), (4, 11475, 27405, 0)),
+     "067808644298f64e109558e79e74f897b167d16ec5873b816c72329ae85a84ca",
+     "067808644298f64e109558e79e74f897b167d16ec5873b816c72329ae85a84ca"),
+    (Z2xZ2, 3, 5, 2,
+     ((2, 136, 136, 0), (3, 800, 816, 16), (4, 3611, 3876, 259), (5, 13328, 15504, 1936)),
+     "ca1f881edd4da748d0f327b5465e4a398bef2d28b9db62e06e8f0ab85ae50566",
+     "2e57e27e9f593558470009c1244b569481615e884653d492670419107fc56eed"),
+    (Z4, 3, 4, 2, ((2, 136, 136, 0), (3, 800, 816, 16), (4, 3626, 3876, 226)),
+     "a8a87e1ce3eab7e030b6cbcaeadaa9666e8984787c727a9de0d3b342b2819b1a",
+     "10f42cb2f6e7bfc0ff747a2c62a5e88ff4567cc61dd63d290f4b95da11a159b4"),
+]
+
+
+def _report_sha(report):
+    data = fc.report_to_json(report, include_elapsed=False)
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "group,n,d_max,m,table,sha_default,sha_all",
+    FROZEN_SWEEPS,
+    ids=["z2-n6-m2", "z2-n5-m2", "z2-n5-m3", "z3-n3-m2", "z3-n4-m2", "z3-n4-m3",
+         "z2x2-n3-m2", "z4-n3-m2"],
+)
+def test_sweep_matches_frozen_counts_and_report_bytes(
+    group, n, d_max, m, table, sha_default, sha_all
+):
+    def counts(report):
+        return tuple(
+            (s.degree, s.fiber_count, s.multiset_count, s.disconnected_count)
+            for s in report.per_degree
+        )
+
+    every = fc.certify_degree(group, n, d_max, m, find_all=True)
+    assert counts(every) == table
+    assert _report_sha(every) == sha_all
+    failing = [row[0] for row in table if row[3]]
+    # with no disconnected fiber the default sweep is the full one
+    first = fc.certify_degree(group, n, d_max, m) if failing else every
+    stop = failing[0] if failing else d_max
+    assert counts(first) == tuple(row for row in table if row[0] <= stop)
+    assert _report_sha(first) == sha_default
+
+
+def test_components_are_rooted_at_the_lowest_unreached_member():
+    for group, n, d, m in [(Z3, 3, 4, 2), (Z2xZ2, 3, 4, 2), (Z3, 4, 3, 2)]:
+        for _, fiber in fc.enumerate_all_fibers(group, n, d):
+            comps = list(_SubmultisetIndex(fiber, m).components())
+            roots = [comp[0] for comp in comps]
+            assert all(comp[0] == min(comp) for comp in comps)
+            assert roots == sorted(roots) and roots[0] == 0
+            positions = sorted(i for comp in comps for i in comp)
+            assert positions == list(range(len(fiber)))
+            want = fc.fiber_connected_under(fiber, m).components
+            assert [tuple(fiber[i] for i in sorted(c)) for c in comps] == list(want)
+
+
+def test_degree_line_is_written_by_degree_stats(capsys):
+    stats = fc.DegreeStats(
+        degree=3, fiber_count=163, multiset_count=165, disconnected_count=1
+    )
+    assert str(stats) == "degree 3: 163 fibers, 165 multisets, 1 disconnected"
+    lines = []
+    report = fc.certify_degree(Z3, 3, 4, 2, find_all=True, progress=lines.append)
+    assert lines == [str(s) for s in report.per_degree]
+    assert lines[1] == str(stats)
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({}, "witness has no 'first' key"),
+        ([], "witness must be a JSON object, got list"),
+        (None, "witness must be a JSON object, got NoneType"),
+        ({"first": [[0, 0, 0]], "second": [[0, 0, 0]], "signature": [[1, 0, 0]] * 3},
+         "witness has no 'degree' key"),
+        ({"first": [[0, 0, 0]], "second": [[0, 0, 0]], "degree": 1, "signature": 3},
+         "witness field 'signature' must be a list, got int"),
+        ({"first": [[0, 0, 0]], "second": [[0, 0, 0]], "degree": 1, "signature": [3]},
+         "signature rows must be lists of counts"),
+    ],
+)
+def test_witness_from_json_names_missing_keys_and_wrong_types(data, message):
+    with pytest.raises(ShapeError, match=message):
+        fc.witness_from_json(Z3, 3, data)
+
+
+def test_report_from_json_names_missing_keys_and_wrong_types():
+    data = fc.report_to_json(fc.certify_degree(Z3, 3, 3, 2))
+    assert fc.report_from_json(data) == fc.certify_degree(Z3, 3, 3, 2)
+    cases = [
+        ({"group": {"factors": [3]}}, "report has no 'n' key"),
+        ([], "report must be a JSON object, got list"),
+        (None, "report must be a JSON object, got NoneType"),
+        ({k: v for k, v in data.items() if k != "witnesses"}, "no 'witnesses' key"),
+        (dict(data, per_degree=None), "'per_degree' must be a list, got NoneType"),
+        (dict(data, witnesses={}), "'witnesses' must be a list, got dict"),
+        (dict(data, verdict=1), "'verdict' must be a str, got int"),
+        (dict(data, per_degree=[[2, 45, 45, 0]]), "per_degree entry must be a JSON"),
+        (dict(data, per_degree=[{"degree": 2}]), "entry has no 'fiber_count' key"),
+        (dict(data, witnesses=[None]), "witness must be a JSON object"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ShapeError, match=message):
+            fc.report_from_json(bad)

@@ -15,6 +15,7 @@ from flowcert.cli import (
     EXIT_USAGE,
     EXIT_WITNESS,
     UsageError,
+    _build_parser,
     load_multiset,
     run_command,
 )
@@ -350,3 +351,33 @@ def test_library_argument_errors_are_usage_errors(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == "", argv
         assert json.loads(err)["error"]["type"] == "usage", argv
+
+
+def test_group_is_parsed_once_by_the_argument_parser(capsys):
+    argv = ["witness", "--group", "2,2", "--n", "3", "--m", "2"]
+    args = _build_parser().parse_args(argv)
+    assert args.group == fc.make_group([2, 2])
+    # a bad --group is reported as soon as it is read, before a missing flag
+    code, out, err = run(capsys, "certify", "--group", "2,a", "--n", "3", "--dmax", "3")
+    assert code == EXIT_USAGE and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage"
+    assert error["message"] == (
+        "invalid --group value '2,a': invalid literal for int() with base 10: 'a'"
+    )
+    for command in ("flows", "export-matrix", "compat", "path", "certify", "witness"):
+        code, out, err = run(capsys, command, "--group", "1", "--n", "3")
+        assert code == EXIT_USAGE and out == "", command
+        assert json.loads(err)["error"]["message"].startswith("invalid --group value '1'")
+
+
+def test_certify_text_lines_are_the_progress_lines(capsys):
+    code, out, err = run(capsys, "certify", "--group", "3", "--n", "3", "--dmax", "4",
+                         "--m", "2", "--find-all", "--format", "text")
+    assert code == EXIT_WITNESS
+    progress = [line for line in err.splitlines() if line.startswith("degree ")]
+    assert out.splitlines()[:-1] == progress == [
+        "degree 2: 45 fibers, 45 multisets, 0 disconnected",
+        "degree 3: 163 fibers, 165 multisets, 1 disconnected",
+        "degree 4: 477 fibers, 495 multisets, 9 disconnected",
+    ]

@@ -18,6 +18,8 @@ from oracles import (
 
 Z2 = fc.make_group([2])
 Z3 = fc.make_group([3])
+Z2xZ2 = fc.make_group([2, 2])
+Z4 = fc.make_group([4])
 
 # Z2, n=6 walkthrough multisets
 M1_ROWS = [[1, 1, 1, 1, 1, 1], [0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 0, 0]]
@@ -192,7 +194,9 @@ def test_all_fibers_z2_n4_d2_unique_largest():
 
 
 @pytest.mark.parametrize(
-    "group,n_max,d_max", [(Z2, 5, 4), (Z3, 4, 4)], ids=["z2", "z3"]
+    "group,n_max,d_max",
+    [(Z2, 5, 4), (Z3, 4, 4), (Z2xZ2, 3, 4), (Z4, 3, 4)],
+    ids=["z2", "z3", "z2x2", "z4"],
 )
 def test_fiber_partition_covers_all_multisets(group, n_max, d_max):
     for n in range(1, n_max + 1):
@@ -223,7 +227,7 @@ def test_partition_and_targeted_enumeration_agree(group, n, d_max):
 
 
 def test_partition_matches_brute_force_oracle():
-    for group, n, d in [(Z2, 4, 3), (Z3, 3, 3)]:
+    for group, n, d in [(Z2, 4, 3), (Z3, 3, 3), (Z2xZ2, 3, 3), (Z4, 3, 3)]:
         oracle = brute_force_partition(group, n, d)
         mine = {
             column_contents_key(members[0]): members
@@ -334,3 +338,23 @@ def test_fiber_from_json_rejects_non_integer_counts():
                 [[True, 0], [1, 0], [1, 0]]):
         with pytest.raises(ShapeError):
             fc.fiber_from_json(Z2, 3, {"signature": sig, "multisets": [[[0, 0, 0]]]})
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({}, "'signature'"),
+        ({"signature": [[1, 0], [1, 0]]}, "'multisets'"),
+        ({"multisets": [[[0, 0]]]}, "'signature'"),
+        ([], "list"),
+        (None, "NoneType"),
+        ({"signature": [[1, 0], [1, 0]], "multisets": 3}, "'multisets'"),
+        ({"signature": [1, 0], "multisets": [[[0, 0]]]}, "signature rows"),
+        ({"signature": None, "multisets": [[[0, 0]]]}, "'signature'"),
+    ],
+)
+def test_fiber_from_json_names_missing_keys_and_wrong_types(data, message):
+    with pytest.raises(ShapeError, match=message):
+        fc.fiber_from_json(Z2, 2, data)
+    good = {"signature": [[1, 0], [1, 0]], "multisets": [[[0, 0]]]}
+    assert fc.fiber_from_json(Z2, 2, good)[1] == [fc.multiset_from_rows(Z2, 2, [[0, 0]])]

@@ -7,6 +7,7 @@ import pytest
 import flowcert as fc
 from flowcert.errors import (
     CapacityError,
+    InvalidElementError,
     InvalidPermutationError,
     NotAFlowError,
     ShapeError,
@@ -170,3 +171,17 @@ def test_automorph_preserves_flow_property():
             for v in g.values:
                 total = fc.add(z5, total, v)
             assert total == 0
+
+
+def test_permute_and_automorph_read_integers_strictly():
+    f = fc.make_flow(Z3, [0, 1, 2])
+    for bad in ([1.0, 0.0, 2.9], [1, 0, 2.0], [1, 0, "2"], [True, 0, 2]):
+        with pytest.raises(InvalidPermutationError, match="must be an integer"):
+            fc.permute(f, bad)
+    for bad in ([0, 2.0, 1], [0, 2, None], [False, 2, 1]):
+        with pytest.raises(InvalidElementError, match="must be an integer"):
+            fc.automorph(f, bad)
+    with pytest.raises(InvalidElementError, match="out of range"):
+        fc.automorph(f, [0, 2, 3])
+    assert fc.permute(f, [1, 0, 2]).values == (1, 0, 2)
+    assert fc.automorph(f, [0, 2, 1]).values == (0, 2, 1)

@@ -327,3 +327,48 @@ def test_exchange_subset_window_reaches_every_target(p):
             assert set(subset) <= set(window)
             assert (shift + sum(deltas[i] for i in subset)) % p == 0
             fc.exchange_pair(f, g, forced + list(subset))
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"out": [[0, 0, 0]]}, "move has no 'in' key"),
+        ({"in": [[0, 0, 0]]}, "move has no 'out' key"),
+        ([], "move must be a JSON object, got list"),
+        (None, "move must be a JSON object, got NoneType"),
+    ],
+)
+def test_move_from_json_names_missing_keys_and_wrong_types(data, message):
+    with pytest.raises(ShapeError, match=message):
+        fc.move_from_json(Z3, 3, data)
+
+
+def _strict_cases():
+    f = fc.make_flow(Z3, [0, 1, 2])
+    g = fc.make_flow(Z3, [1, 2, 0])
+    m = fc.make_multiset([f, g])
+    c1 = fc.make_coloring(2, [0, 1, 0])
+    c2 = fc.make_coloring(2, [1, 0, 0])
+    return {
+        # each would otherwise truncate the float or fail with a bare TypeError
+        "exchange_pair": lambda bad: fc.exchange_pair(f, g, [bad, 1]),
+        "find_exchange_subset": lambda bad: fc.find_exchange_subset(f, g, [bad, 1], []),
+        "make_coloring-values": lambda bad: fc.make_coloring(2, [bad, 0]),
+        "make_coloring-colors": lambda bad: fc.make_coloring(bad, [1]),
+        "apply_pair_exchange-a": lambda bad: fc.apply_pair_exchange(
+            m, fc.PairExchange(a=bad, b=1, indices=(0,))
+        ),
+        "apply_pair_exchange-b": lambda bad: fc.apply_pair_exchange(
+            m, fc.PairExchange(a=1, b=bad, indices=(0,))
+        ),
+        "transform_colorings-k1": lambda bad: fc.transform_colorings(c1, c2, bad, 1),
+        "transform_colorings-k2": lambda bad: fc.transform_colorings(c1, c2, 0, bad),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_strict_cases()))
+def test_indices_positions_and_colors_are_read_strictly(entry):
+    call = _strict_cases()[entry]
+    for bad in (0.0, 0.9, 1.7, "0", None, True):
+        with pytest.raises(ShapeError, match="must be an integer"):
+            call(bad)
