@@ -1,11 +1,14 @@
 """Exhaustive fiber-graph connectivity checks and degree certification.
 
 Within one fiber, two multisets are one move of degree <= m apart exactly
-when they share at least d - m members.  The sweep walks every fiber of
-every degree in [2, d_max], labels components, and aggregates a report; a
-disconnected fiber yields a witness pair proving that moves of degree <= m
-do not suffice at that degree.  A report never claims more than the range
-it actually swept.
+when they share at least d - m members.  The sweep decides every fiber of
+every degree in [2, d_max] and aggregates a report; a disconnected fiber
+yields a witness pair proving that moves of degree <= m do not suffice at
+that degree.  Up to and including the first degree with a disconnected
+fiber, each fiber is decided from the sets of signatures one and two
+degrees below, without building its members; members are built for
+witnesses and for the degrees after that one.  A report never claims more
+than the range it actually swept.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from itertools import combinations
+from functools import partial
+from itertools import combinations, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
@@ -32,12 +36,16 @@ from .fibers import (
     compatible,
     enumerate_all_fibers,
     enumerate_fiber,
+    flow_keys,
+    key_signature,
     make_multiset,
     multiset_from_rows,
     multiset_to_rows,
     signature,
     signature_from_json,
+    sweep_size,
 )
+from .flows import enumerate_flows
 from .groups import Group, group_from_json, group_to_json, json_fields, strict_int
 from .moves import Move
 
@@ -99,9 +107,11 @@ def _multiset_key(ms: FlowMultiset) -> tuple[tuple[int, ...], ...]:
     return tuple(f.values for f in ms.flows)
 
 
-def _check_move_bound(m: int) -> None:
-    if m < 2:
-        raise PreconditionError(f"move bound must be >= 2, got {m}")
+def _check_move_bound(m: int, least: int = 2) -> int:
+    m = strict_int(m, PreconditionError, "move bound")
+    if m < least:
+        raise PreconditionError(f"move bound must be >= {least}, got {m}")
+    return m
 
 
 def fiber_edges(fiber: list[FlowMultiset], m: int) -> list[tuple[int, int]]:
@@ -111,6 +121,7 @@ def fiber_edges(fiber: list[FlowMultiset], m: int) -> list[tuple[int, int]]:
     :func:`fiber_connected_under` and :func:`find_move_path` use.
     """
     check_fiber(fiber)
+    m = strict_int(m, PreconditionError, "move bound")
     size = len(fiber)
     need = fiber[0].degree - m
     if need <= 0:
@@ -131,6 +142,7 @@ def fiber_edges_generative(fiber: list[FlowMultiset], m: int) -> list[tuple[int,
     :func:`fiber_edges`; quadratic in practice, test-scale only.
     """
     check_fiber(fiber)
+    m = strict_int(m, PreconditionError, "move bound")
     group, n = fiber[0].group, fiber[0].n
     pos = {ms: i for i, ms in enumerate(fiber)}
     replacements: dict[tuple[int, ...], list[FlowMultiset]] = {}
@@ -222,7 +234,7 @@ def fiber_connected_under(fiber: Iterable[FlowMultiset], m: int) -> FiberCompone
     """
     members = sorted(fiber, key=_multiset_key)
     check_fiber(members)
-    _check_move_bound(m)
+    m = _check_move_bound(m)
     return FiberComponents(
         components=tuple(
             tuple(members[i] for i in sorted(comp))
@@ -250,30 +262,106 @@ def _fiber_verdict(
     return sig, len(fiber), None if second is None else (fiber[0], fiber[second[0]])
 
 
-def _degree_verdicts(
-    group: Group, n: int, d_max: int, m: int, *, sweep_cap: int
-) -> Iterator[tuple[int, Iterator[tuple]]]:
-    """For each degree in [2, d_max], the verdicts of :func:`_fiber_verdict`
-    on its fibers in ascending fiber-key order.
-
-    Each degree's fibers are bucketed only when the caller asks for that
-    degree, so a caller that stops early never pays for the next one.
-    The sweep's arguments are checked here for every caller; ``n < 1``
-    raises :class:`ShapeError` when the first degree is bucketed.
-    """
-    _check_move_bound(m)
+def _check_sweep(n: int, d_max: int, m: int, sweep_cap: int) -> tuple[int, int, int, int]:
+    """The sweep's arguments as ints, checked for every caller; ``n < 1``
+    raises :class:`ShapeError` when the first degree is sized."""
+    m = _check_move_bound(m)
+    d_max = strict_int(d_max, PreconditionError, "d_max")
     if d_max < m:
         raise PreconditionError(f"d_max={d_max} must be >= m={m}")
+    sweep_cap = strict_int(sweep_cap, PreconditionError, "sweep_cap")
     if sweep_cap < 1:
         raise PreconditionError(f"sweep_cap must be >= 1, got {sweep_cap}")
+    return strict_int(n, ShapeError, "n"), d_max, m, sweep_cap
+
+
+def _member_verdicts(
+    group: Group, n: int, d: int, m: int, sweep_cap: int
+) -> Iterator[Optional[Callable[[], Witness]]]:
+    for item in enumerate_all_fibers(group, n, d, cap=sweep_cap):
+        sig, _, pair = _fiber_verdict(item, m)
+        yield None if pair is None else partial(Witness, d, sig, *pair)
+
+
+def _signature_witness(
+    group: Group, n: int, d: int, sig: ColumnSignature, m: int, sweep_cap: int
+) -> Witness:
+    """The witness of a fiber known to be disconnected: its members are
+    built as the member-level sweep builds them, so the pair is the same."""
+    members = enumerate_fiber(sig, group, n, cap=sweep_cap)
+    return Witness(d, sig, *_fiber_verdict((sig, members), m)[2])
+
+
+def _degree_verdicts(
+    group: Group, n: int, d_max: int, m: int, sweep_cap: int
+) -> Iterator[tuple[int, int, Iterator[Optional[Callable[[], Witness]]]]]:
+    """For each degree d in [2, d_max], ``(d, multiset count, verdicts)``,
+    where the verdicts are one per fiber in ascending key order: None for a
+    connected fiber, a function that builds the :class:`Witness` for a
+    disconnected one.
+
+    Arguments come from :func:`_check_sweep`.  Each degree is sized
+    against ``sweep_cap`` and built only when the caller asks for it, after
+    consuming the verdicts of the degree before, so a caller that stops
+    early never pays for the next degree.
+
+    A fiber's key is the sum of its members' flow keys in base d_max + 1,
+    and K[d] is the set of the degree-d keys.  Suppose every fiber of
+    degree d - 1 is connected under moves of degree <= m.  The members of
+    fiber b that contain a flow f are then a connected copy of fiber b - f,
+    and two members one move apart share a flow, since m < d.  So fiber b
+    is connected exactly when the flows f with b - f in K[d - 1] are
+    connected, f joined to g when b - f - g is in K[d - 2].  Fibers of
+    degree <= m are connected, so this premise holds up to and including
+    the first degree with a disconnected fiber.  The degrees after it, which
+    only ``find_all`` reaches, bucket their members instead.
+    """
+    base = d_max + 1
+    failed = False
+
+    def decide(d: int, keys: set[int], below: set[int], two_below: set[int]):
+        nonlocal failed
+        for b in sorted(keys):
+            # The flows of fiber b, as keys; reach from one of them and see
+            # whether any is left unreached.
+            rest = [c for c in codes if b - c in below]
+            stack = [rest.pop()]
+            while stack and rest:
+                r = b - stack.pop()
+                keep = []
+                for c in rest:
+                    if r - c in two_below:
+                        stack.append(c)
+                    else:
+                        keep.append(c)
+                rest = keep
+            if rest:
+                failed = True
+                sig = key_signature(b, n, group.order, base)
+                yield partial(_signature_witness, group, n, d, sig, m, sweep_cap)
+            else:
+                yield None
+
     for d in range(2, d_max + 1):
         try:
-            fibers = enumerate_all_fibers(group, n, d, cap=sweep_cap)
+            total = sweep_size(group, n, d, sweep_cap)
         except CapacityError as exc:
             raise CapacityError(
                 f"degree {d} of the sweep: {exc}", required=exc.required, cap=exc.cap
             ) from exc
-        yield d, (_fiber_verdict(item, m) for item in fibers)
+        if failed:
+            keys = below = two_below = set()  # free the key sets
+            yield d, total, _member_verdicts(group, n, d, m, sweep_cap)
+            continue
+        if d == 2:
+            codes = flow_keys(enumerate_flows(group, n), base)
+            below, keys = {0}, set(codes)
+        two_below, below = below, keys
+        keys = {k + c for k in below for c in codes}
+        if d <= m:
+            yield d, total, repeat(None, len(keys))
+        else:
+            yield d, total, decide(d, keys, below, two_below)
 
 
 def certify_degree(
@@ -296,24 +384,21 @@ def certify_degree(
     the fiber checks are pure Python and hold the GIL, and a thread pool
     measured slower than one thread.
     """
-    if threads < 1:
+    if strict_int(threads, PreconditionError, "threads") < 1:
         raise PreconditionError(f"threads must be >= 1, got {threads}")
+    n, d_max, m, sweep_cap = _check_sweep(n, d_max, m, sweep_cap)
     started = time.monotonic()
     per_degree: list[DegreeStats] = []
     witnesses: list[Witness] = []
-    for d, verdicts in _degree_verdicts(group, n, d_max, m, sweep_cap=sweep_cap):
+    for d, multisets, verdicts in _degree_verdicts(group, n, d_max, m, sweep_cap):
         fiber_count = 0
-        multisets = 0
         disconnected = 0
-        for sig, size, pair in verdicts:
+        for witness in verdicts:
             fiber_count += 1
-            multisets += size
-            if pair is not None:
+            if witness is not None:
                 disconnected += 1
                 if find_all or disconnected == 1:
-                    witnesses.append(
-                        Witness(degree=d, signature=sig, first=pair[0], second=pair[1])
-                    )
+                    witnesses.append(witness())
         per_degree.append(
             DegreeStats(
                 degree=d,
@@ -366,8 +451,7 @@ def find_move_path(
     ascending fiber order, so the path found is the lowest one among the
     shortest.  The replay of the returned moves transforms m1 into m2 exactly.
     """
-    if m < 1:
-        raise PreconditionError(f"move bound must be >= 1, got {m}")
+    m = _check_move_bound(m, least=1)
     if not compatible(m1, m2):
         raise IncompatibilityError("endpoint multisets are not compatible")
     if m1 == m2:
@@ -418,10 +502,11 @@ def find_indispensable(
     A hit is evidence that generators of degree > m are required at that
     degree; None only means the range [2, d_max] is clean.
     """
-    for d, verdicts in _degree_verdicts(group, n, d_max, m, sweep_cap=sweep_cap):
-        for sig, _, pair in verdicts:
-            if pair is not None:
-                return Witness(degree=d, signature=sig, first=pair[0], second=pair[1])
+    n, d_max, m, sweep_cap = _check_sweep(n, d_max, m, sweep_cap)
+    for _, _, verdicts in _degree_verdicts(group, n, d_max, m, sweep_cap):
+        for witness in verdicts:
+            if witness is not None:
+                return witness()
     return None
 
 

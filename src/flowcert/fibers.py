@@ -13,7 +13,13 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import CapacityError, FlowcertError, InvalidFiberError, ShapeError
+from .errors import (
+    CapacityError,
+    FlowcertError,
+    InvalidFiberError,
+    PreconditionError,
+    ShapeError,
+)
 from .flows import Flow, enumerate_flows, flow_count, make_flow
 from .groups import Group, json_fields, strict_int
 
@@ -73,6 +79,7 @@ def multiset_from_rows(group: Group, n: int, rows: Sequence[Sequence[int]]) -> F
     codes summing to the identity.  Errors keep their type and attributes
     and name the failing row.
     """
+    n = strict_int(n, ShapeError, "n")
     if not isinstance(rows, (list, tuple)):
         raise ShapeError(f"expected a list of rows, got {type(rows).__name__}")
     flows = []
@@ -164,6 +171,8 @@ def enumerate_fiber(
     multiplicity, pruning on the per-index remaining counts, so emitted
     multisets come out sorted without a post-pass.
     """
+    n = strict_int(n, ShapeError, "n")
+    cap = strict_int(cap, PreconditionError, "cap")
     degree = _check_signature(sig, group, n)
     flows = enumerate_flows(group, n)
     remaining = [list(row) for row in sig.counts]
@@ -200,9 +209,50 @@ def enumerate_fiber(
 
 def multiset_count(group: Group, n: int, d: int) -> int:
     """Number of degree-d multisets over all flows on n."""
+    d = strict_int(d, ShapeError, "degree")
     if d < 1:
         raise ShapeError(f"degree must be >= 1, got {d}")
     return comb(flow_count(group, n) + d - 1, d)
+
+
+def sweep_size(group: Group, n: int, d: int, cap: int) -> int:
+    """Number of degree-d multisets; :class:`CapacityError` above ``cap``."""
+    total = multiset_count(group, n, d)
+    cap = strict_int(cap, PreconditionError, "cap")
+    if total > cap:
+        raise CapacityError(
+            f"sweep over {total} degree-{d} multisets exceeds the cap of {cap}",
+            required=total,
+            cap=cap,
+        )
+    return total
+
+
+def flow_keys(flows: Sequence[Flow], base: int) -> list[int]:
+    """Each flow's one-hot signature read as a base-``base`` integer,
+    coordinate 0 most significant.
+
+    A multiset's key is the sum of its flows' keys.  While no count exceeds
+    ``base - 1``, that sum is one-to-one with the multiset's signature, and
+    keys order as flat signatures do; :func:`key_signature` decodes one.
+    """
+    order = flows[0].group.order
+    top = len(flows[0].values) * order - 1
+    return [
+        sum(base ** (top - i * order - v) for i, v in enumerate(f.values)) for f in flows
+    ]
+
+
+def key_signature(key: int, n: int, order: int, base: int) -> ColumnSignature:
+    """The signature a key of :func:`flow_keys` stands for."""
+    flat = []
+    for _ in range(n * order):
+        key, count = divmod(key, base)
+        flat.append(count)
+    flat.reverse()
+    return ColumnSignature(
+        counts=tuple(tuple(flat[i * order : (i + 1) * order]) for i in range(n))
+    )
 
 
 def enumerate_all_fibers(
@@ -213,26 +263,16 @@ def enumerate_all_fibers(
     The capacity check runs eagerly; iteration then yields one fiber at a
     time so consumers can stream and discard.
     """
-    total = multiset_count(group, n, d)
-    if total > cap:
-        raise CapacityError(
-            f"sweep over {total} degree-{d} multisets exceeds the cap of {cap}",
-            required=total,
-            cap=cap,
-        )
-    flows = enumerate_flows(group, n)
-    return _iter_fibers(group, n, d, flows)
+    n, d = strict_int(n, ShapeError, "n"), strict_int(d, ShapeError, "degree")
+    sweep_size(group, n, d, cap)
+    return _iter_fibers(group, n, d, enumerate_flows(group, n))
 
 
 def _iter_fibers(
     group: Group, n: int, d: int, flows: list[Flow]
 ) -> Iterator[tuple[ColumnSignature, list[FlowMultiset]]]:
-    # A flow's code is its one-hot signature read as a base-(d+1) integer,
-    # coordinate 0 most significant, and a multiset's key is the sum of its
-    # flows' codes.  No count exceeds d, so keys order as flat signatures do.
-    order, base = group.order, d + 1
-    weights = [base**p for p in reversed(range(n * order))]
-    codes = [sum(weights[i * order + v] for i, v in enumerate(f.values)) for f in flows]
+    # Keys in base d+1: no count of a degree-d multiset exceeds d.
+    codes = flow_keys(flows, d + 1)
     buckets: dict[int, list[tuple[int, ...]]] = {}
     for combo, combo_codes in zip(
         combinations_with_replacement(range(len(flows)), d),
@@ -240,11 +280,7 @@ def _iter_fibers(
     ):
         buckets.setdefault(sum(combo_codes), []).append(combo)
     for key in sorted(buckets):
-        flat = [key // w % base for w in weights]
-        sig = ColumnSignature(
-            counts=tuple(tuple(flat[i * order : (i + 1) * order]) for i in range(n))
-        )
-        yield sig, [
+        yield key_signature(key, n, group.order, d + 1), [
             FlowMultiset(group=group, n=n, flows=tuple(flows[j] for j in combo))
             for combo in buckets[key]
         ]

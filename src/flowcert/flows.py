@@ -16,6 +16,7 @@ from .errors import (
     CapacityError,
     InvalidPermutationError,
     NotAFlowError,
+    PreconditionError,
     ShapeError,
 )
 from .groups import Group, add_table, check_element, neg_table, strict_int
@@ -59,17 +60,20 @@ def make_flow(group: Group, values: Iterable[int]) -> Flow:
     return Flow(group=group, values=vals)
 
 
-def zero_flow(group: Group, n: int) -> Flow:
-    """The trivial flow (0, ..., 0)."""
+def _check_n(n: int) -> int:
+    n = strict_int(n, ShapeError, "n")
     if n < 1:
         raise ShapeError(f"n must be >= 1, got {n}")
-    return Flow(group=group, values=(0,) * n)
+    return n
+
+
+def zero_flow(group: Group, n: int) -> Flow:
+    """The trivial flow (0, ..., 0)."""
+    return Flow(group=group, values=(0,) * _check_n(n))
 
 
 def flow_count(group: Group, n: int) -> int:
-    if n < 1:
-        raise ShapeError(f"n must be >= 1, got {n}")
-    return group.order ** (n - 1)
+    return group.order ** (_check_n(n) - 1)
 
 
 def enumerate_flows(group: Group, n: int, *, cap: int = DEFAULT_FLOW_CAP) -> list[Flow]:
@@ -78,7 +82,9 @@ def enumerate_flows(group: Group, n: int, *, cap: int = DEFAULT_FLOW_CAP) -> lis
     The first n-1 entries range over all codes; the last entry is solved so
     the sum vanishes, which already yields sorted output.
     """
+    n = _check_n(n)
     total = flow_count(group, n)
+    cap = strict_int(cap, PreconditionError, "cap")
     if total > cap:
         raise CapacityError(
             f"{total} flows exceed the cap of {cap}", required=total, cap=cap

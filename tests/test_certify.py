@@ -554,3 +554,130 @@ def test_report_from_json_names_missing_keys_and_wrong_types():
     for bad, message in cases:
         with pytest.raises(ShapeError, match=message):
             fc.report_from_json(bad)
+
+
+def _z3_fiber():
+    sig = fc.ColumnSignature(((1, 1, 1),) * 3)
+    return fc.enumerate_fiber(sig, Z3, 3)
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: fc.certify_degree(Z3, 3.0, 3, 2), ShapeError),
+        (lambda: fc.certify_degree(Z3, 3, 3.5, 2), PreconditionError),
+        (lambda: fc.certify_degree(Z3, 3, 3, 2.0), PreconditionError),
+        (lambda: fc.certify_degree(Z3, 3, 3, 2, threads=1.0), PreconditionError),
+        (lambda: fc.certify_degree(Z3, 3, 3, 2, sweep_cap=1e9), PreconditionError),
+        (lambda: fc.find_indispensable(Z3, 3.0, 2), ShapeError),
+        (lambda: fc.find_indispensable(Z3, 3, True), PreconditionError),
+        (lambda: fc.find_indispensable(Z3, 3, 2, d_max=3.0), PreconditionError),
+        (lambda: fc.find_indispensable(Z3, 3, 2, sweep_cap=1e9), PreconditionError),
+        (lambda: fc.fiber_connected_under(_z3_fiber(), 2.0), PreconditionError),
+        (lambda: fc.fiber_edges(_z3_fiber(), 2.0), PreconditionError),
+        (lambda: fc.fiber_edges_generative(_z3_fiber(), 2.0), PreconditionError),
+        (lambda: fc.find_move_path(*_z3_fiber()[:2], 2.0), PreconditionError),
+        (lambda: fc.find_move_path(*_z3_fiber()[:2], 2, fiber_cap=2.5), PreconditionError),
+    ],
+    ids=["certify-n", "certify-d_max", "certify-m", "certify-threads", "certify-cap",
+         "witness-n", "witness-m", "witness-d_max", "witness-cap",
+         "fiber_connected_under", "fiber_edges", "fiber_edges_generative",
+         "find_move_path-m", "find_move_path-cap"],
+)
+def test_size_arguments_are_read_strictly(call, error):
+    with pytest.raises(error, match="must be an integer"):
+        call()
+
+
+def _member_level_report(group, n, d_max, m):
+    """The report JSON of ``find_all=True``, built from every fiber's
+    members and their components, and the degree of its first witness."""
+    per_degree, witnesses = [], []
+    for d in range(2, d_max + 1):
+        fibers = multisets = disconnected = 0
+        for sig, members in fc.enumerate_all_fibers(group, n, d):
+            fibers += 1
+            multisets += len(members)
+            comps = fc.fiber_connected_under(members, m).components
+            if len(comps) > 1:
+                disconnected += 1
+                witnesses.append({
+                    "degree": d,
+                    "signature": [list(row) for row in sig.counts],
+                    "first": fc.multiset_to_rows(comps[0][0]),
+                    "second": fc.multiset_to_rows(comps[1][0]),
+                })
+        per_degree.append({"degree": d, "fiber_count": fibers,
+                           "multiset_count": multisets,
+                           "disconnected_count": disconnected})
+    if witnesses:
+        verdict = "not-verified"
+        statement = (
+            f"not verified for n={n}: {witnesses[0]['degree']} is the lowest degree "
+            f"with a fiber disconnected under moves of degree <= {m}"
+        )
+    else:
+        verdict = "verified"
+        statement = (
+            f"verified up to degree {d_max} for n={n}: every fiber is connected "
+            f"under moves of degree <= {m}"
+        )
+    return {
+        "format": 1, "group": {"factors": list(group.factors)}, "n": n,
+        "d_max": d_max, "m": m, "per_degree": per_degree, "witnesses": witnesses,
+        "verdict": verdict, "statement": statement,
+    }
+
+
+@pytest.mark.parametrize(
+    "group,n,d_max,m",
+    [(Z2, 6, 4, 2), (Z2, 5, 5, 3), (Z3, 3, 4, 2), (Z3, 4, 4, 2), (Z3, 4, 4, 3),
+     (Z2xZ2, 3, 5, 2), (Z2xZ2, 4, 4, 3), (Z4, 3, 4, 2), (Z2xZ2, 3, 4, 3),
+     (Z4, 3, 4, 3)],
+    ids=["z2-n6-m2", "z2-n5-m3", "z3-n3-m2", "z3-n4-m2", "z3-n4-m3", "z2x2-n3-m2",
+         "z2x2-n4-m3", "z4-n3-m2", "z2x2-n3-m3", "z4-n3-m3"],
+)
+def test_sweep_matches_the_member_level_oracle(group, n, d_max, m):
+    every = _member_level_report(group, n, d_max, m)
+    got = fc.report_to_json(fc.certify_degree(group, n, d_max, m, find_all=True),
+                            include_elapsed=False)
+    assert got == every
+    failing = [s for s in every["per_degree"] if s["disconnected_count"]]
+    # the default sweep stops after the first failing degree, with one witness
+    stop = failing[0]["degree"] if failing else d_max
+    first = dict(every, per_degree=every["per_degree"][: stop - 1],
+                 witnesses=every["witnesses"][:1])
+    report = fc.certify_degree(group, n, d_max, m)
+    assert fc.report_to_json(report, include_elapsed=False) == first
+    if failing:
+        assert report.per_degree[-1].disconnected_count == failing[0]["disconnected_count"]
+    witness = fc.find_indispensable(group, n, m, d_max=d_max)
+    assert (None if witness is None else fc.witness_to_json(witness)) == (
+        every["witnesses"][0] if failing else None
+    )
+
+
+@pytest.mark.parametrize("group,n", [(Z3, 3), (Z2, 6)], ids=["z3-n3", "z2-n6"])
+def test_sweep_decides_up_to_the_first_failing_degree_without_members(monkeypatch, group, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("members bucketed before a degree failed")
+
+    expected = fc.certify_degree(group, n, 4, 2)
+    monkeypatch.setattr(certify_module, "enumerate_all_fibers", refuse)
+    assert fc.certify_degree(group, n, 4, 2) == expected
+    witness = fc.find_indispensable(group, n, 2, d_max=4)
+    assert witness == (expected.witnesses[0] if expected.witnesses else None)
+
+
+def test_find_all_buckets_only_the_degrees_after_the_first_failing_one(monkeypatch):
+    bucketed = []
+    original = certify_module.enumerate_all_fibers
+
+    def recording(group, n, d, **kwargs):
+        bucketed.append(d)
+        return original(group, n, d, **kwargs)
+
+    monkeypatch.setattr(certify_module, "enumerate_all_fibers", recording)
+    report = fc.certify_degree(Z3, 3, 4, 2, find_all=True)
+    assert [s.disconnected_count for s in report.per_degree] == [0, 1, 9]
+    assert bucketed == [4]

@@ -6,7 +6,12 @@ from math import comb
 import pytest
 
 import flowcert as fc
-from flowcert.errors import CapacityError, InvalidFiberError, ShapeError
+from flowcert.errors import (
+    CapacityError,
+    InvalidFiberError,
+    PreconditionError,
+    ShapeError,
+)
 from oracles import (
     brute_force_partition,
     column_contents_key,
@@ -358,3 +363,25 @@ def test_fiber_from_json_names_missing_keys_and_wrong_types(data, message):
         fc.fiber_from_json(Z2, 2, data)
     good = {"signature": [[1, 0], [1, 0]], "multisets": [[[0, 0]]]}
     assert fc.fiber_from_json(Z2, 2, good)[1] == [fc.multiset_from_rows(Z2, 2, [[0, 0]])]
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: fc.multiset_count(Z3, 3, 2.0), ShapeError),
+        (lambda: fc.multiset_count(Z3, 3.0, 2), ShapeError),
+        (lambda: fc.enumerate_all_fibers(Z3, 3, 2.0), ShapeError),
+        (lambda: fc.enumerate_all_fibers(Z3, 3, 2, cap=1e9), PreconditionError),
+        (lambda: fc.enumerate_fiber(fc.ColumnSignature(((1, 1, 0),) * 3), Z3, 3.0),
+         ShapeError),
+        (lambda: fc.enumerate_fiber(fc.ColumnSignature(((1, 1, 0),) * 3), Z3, 3, cap=2.5),
+         PreconditionError),
+        (lambda: fc.multiset_from_rows(Z3, 3.0, [[0, 0, 0]]), ShapeError),
+    ],
+    ids=["multiset_count-d", "multiset_count-n", "enumerate_all_fibers-d",
+         "enumerate_all_fibers-cap", "enumerate_fiber-n", "enumerate_fiber-cap",
+         "multiset_from_rows-n"],
+)
+def test_size_arguments_are_read_strictly(call, error):
+    with pytest.raises(error, match="must be an integer"):
+        call()

@@ -10,6 +10,7 @@ from flowcert.errors import (
     InvalidElementError,
     InvalidPermutationError,
     NotAFlowError,
+    PreconditionError,
     ShapeError,
 )
 from oracles import brute_force_flow_codes
@@ -185,3 +186,20 @@ def test_permute_and_automorph_read_integers_strictly():
         fc.automorph(f, [0, 2, 3])
     assert fc.permute(f, [1, 0, 2]).values == (1, 0, 2)
     assert fc.automorph(f, [0, 2, 1]).values == (0, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: fc.enumerate_flows(Z3, 2.0), ShapeError),
+        (lambda: fc.enumerate_flows(Z3, 2, cap=1e9), PreconditionError),
+        (lambda: fc.zero_flow(Z3, 2.5), ShapeError),
+        (lambda: fc.flow_count(Z3, 2.5), ShapeError),
+        (lambda: fc.flow_count(Z3, True), ShapeError),
+    ],
+    ids=["enumerate_flows-n", "enumerate_flows-cap", "zero_flow", "flow_count",
+         "flow_count-bool"],
+)
+def test_size_arguments_are_read_strictly(call, error):
+    with pytest.raises(error, match="must be an integer"):
+        call()
