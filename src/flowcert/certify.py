@@ -17,7 +17,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from itertools import combinations, repeat
+from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
@@ -292,6 +292,37 @@ def _signature_witness(
     return Witness(d, sig, *_fiber_verdict((sig, members), m)[2])
 
 
+def _key_shards(
+    below: dict[int, list[int]], flows: dict[int, list[int]]
+) -> Iterator[list[int]]:
+    """The keys one degree above ``below``, one row-0 shard at a time, each
+    shard sorted and the shards in ascending order of their ids.
+
+    A key's shard id is its row-0 digits, the most significant ones, so the
+    shards concatenate to the sorted key set.  Both arguments map a shard
+    id to its keys: ``below`` holds the keys one degree down and ``flows``
+    the flow keys, whose shard id is the one nonzero row-0 digit of their
+    class.  Every fiber of shard H has a flow of each class g with a
+    nonzero digit in H, so shard H is exactly shard H - g of ``below`` plus
+    the flows of class g; of those classes, the one with the smallest
+    source shard is used.
+    """
+    for shard in sorted({s + h for s in below for h in flows}):
+        h = min((h for h in flows if shard - h in below), key=lambda h: len(below[shard - h]))
+        yield sorted({k + c for k in below[shard - h] for c in flows[h]})
+
+
+def _kept(
+    shards: Iterator[list[int]], keys: set[int], by_shard: dict[int, list[int]], scale: int
+) -> Iterator[list[int]]:
+    """Pass the shards on, recording each into ``keys`` and, under its id
+    ``key // scale``, into ``by_shard``."""
+    for members in shards:
+        keys.update(members)
+        by_shard[members[0] // scale] = members
+        yield members
+
+
 def _degree_verdicts(
     group: Group, n: int, d_max: int, m: int, sweep_cap: int
 ) -> Iterator[tuple[int, int, Iterator[Optional[Callable[[], Witness]]]]]:
@@ -301,9 +332,7 @@ def _degree_verdicts(
     disconnected one.
 
     Arguments come from :func:`_check_sweep`.  Each degree is sized
-    against ``sweep_cap`` and built only when the caller asks for it, after
-    consuming the verdicts of the degree before, so a caller that stops
-    early never pays for the next degree.
+    against ``sweep_cap`` before any of it is built.
 
     A fiber's key is the sum of its members' flow keys in base d_max + 1,
     and K[d] is the set of the degree-d keys.  Suppose every fiber of
@@ -315,13 +344,20 @@ def _degree_verdicts(
     degree <= m are connected, so this premise holds up to and including
     the first degree with a disconnected fiber.  The degrees after it, which
     only ``find_all`` reaches, bucket their members instead.
+
+    K[d] is built one row-0 shard at a time (:func:`_key_shards`) as the
+    caller consumes its verdicts, so a caller that stops at a witness
+    builds neither the rest of that degree nor the next.  The caller asks
+    for the next degree only after consuming every verdict of this one,
+    which completes K[d].  K[d - 1] and K[d - 2] are held whole; of K[d],
+    only the current shard, unless a later degree reads K[d].
     """
     base = d_max + 1
     failed = False
 
-    def decide(d: int, keys: set[int], below: set[int], two_below: set[int]):
+    def decide(d: int, fibers: Iterator[int], below: set[int], two_below: set[int]):
         nonlocal failed
-        for b in sorted(keys):
+        for b in fibers:
             # The flows of fiber b, as keys; reach from one of them and see
             # whether any is left unreached.
             rest = [c for c in codes if b - c in below]
@@ -350,18 +386,27 @@ def _degree_verdicts(
                 f"degree {d} of the sweep: {exc}", required=exc.required, cap=exc.cap
             ) from exc
         if failed:
-            keys = below = two_below = set()  # free the key sets
+            keys = below = two_below = by_shard = shards = fibers = None  # free the key sets
             yield d, total, _member_verdicts(group, n, d, m, sweep_cap)
             continue
         if d == 2:
             codes = flow_keys(enumerate_flows(group, n), base)
-            below, keys = {0}, set(codes)
+            scale = base ** ((n - 1) * group.order)
+            flows: dict[int, list[int]] = {}
+            for c in codes:
+                flows.setdefault(c // scale, []).append(c)
+            below, keys, by_shard = {0}, set(codes), flows
         two_below, below = below, keys
-        keys = {k + c for k in below for c in codes}
+        shards = _key_shards(by_shard, flows)
+        if d < d_max:
+            keys, by_shard = set(), {}
+            shards = _kept(shards, keys, by_shard, scale)
+        # chain drops each shard before it asks for the next one
+        fibers = chain.from_iterable(shards)
         if d <= m:
-            yield d, total, repeat(None, len(keys))
+            yield d, total, (None for _ in fibers)
         else:
-            yield d, total, decide(d, keys, below, two_below)
+            yield d, total, decide(d, fibers, below, two_below)
 
 
 def certify_degree(

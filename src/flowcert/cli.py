@@ -4,13 +4,15 @@ Subcommands: flows, compat, path, certify, witness, export-matrix.  Stdout
 carries pure data (JSON or text); progress and errors go to stderr, errors
 additionally as one machine-readable JSON object.  Exit codes: 0 success,
 1 negative verdict (witness found / not connected / incompatible), 2 usage
-or input error, 3 capacity exceeded.
+or input error, 3 capacity exceeded, 141 stdout closed by its reader before
+the output was written (the status a shell shows for a SIGPIPE death).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -47,6 +49,7 @@ EXIT_OK = 0
 EXIT_WITNESS = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(FlowcertError):
@@ -60,7 +63,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_group(text: str) -> Group:
     try:
-        return make_group(int(part) for part in text.split(",") if part.strip())
+        return make_group(int(part) for part in text.split(","))
     except (ValueError, InvalidGroupError) as exc:
         raise UsageError(f"invalid --group value {text!r}: {exc}")
 
@@ -306,7 +309,15 @@ def run_command(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; with stdout on
+        # devnull that flush cannot fail and print a second error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

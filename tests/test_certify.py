@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import threading
+import weakref
 
 import pytest
 
@@ -17,6 +18,7 @@ from flowcert.errors import (
     PreconditionError,
     ShapeError,
 )
+from flowcert.fibers import flow_keys
 from oracles import edge_components, reference_move_path
 
 Z2 = fc.make_group([2])
@@ -681,3 +683,80 @@ def test_find_all_buckets_only_the_degrees_after_the_first_failing_one(monkeypat
     report = fc.certify_degree(Z3, 3, 4, 2, find_all=True)
     assert [s.disconnected_count for s in report.per_degree] == [0, 1, 9]
     assert bucketed == [4]
+
+
+class _Shard(list):
+    """A shard that can be weakly referenced, to see when it is freed."""
+
+
+def _recording_shards(monkeypatch):
+    """Wrap the shard builder.  Returns one list per degree built: for each
+    shard it yielded, how many earlier shards of that degree were still
+    alive once it was built."""
+    original = certify_module._key_shards
+    degrees = []
+
+    def recording(below, flows):
+        refs, alive = [], []
+        degrees.append(alive)
+        for keys in original(below, flows):
+            alive.append(sum(ref() is not None for ref in refs))
+            shard = _Shard(keys)
+            refs.append(weakref.ref(shard))
+            yield shard
+            del shard
+
+    monkeypatch.setattr(certify_module, "_key_shards", recording)
+    return degrees
+
+
+@pytest.mark.parametrize(
+    "factors,n",
+    [([2], n) for n in range(1, 7)] + [([3], n) for n in range(1, 5)]
+    + [([2, 2], n) for n in range(2, 5)] + [([4], 3), ([5], 3), ([2, 3], 2)],
+)
+def test_shards_concatenate_to_the_sorted_key_set(monkeypatch, factors, n):
+    group, d_max = fc.make_group(factors), 4
+    shards = []
+    original = certify_module._key_shards
+
+    def recording(below, flows):
+        shards.append(list(original(below, flows)))
+        yield from shards[-1]
+
+    monkeypatch.setattr(certify_module, "_key_shards", recording)
+    report = fc.certify_degree(group, n, d_max, d_max)
+    # the full build each degree replaced: every flow added to every key below
+    base = d_max + 1
+    codes = flow_keys(fc.enumerate_flows(group, n), base)
+    scale = base ** ((n - 1) * group.order)
+    keys = set(codes)
+    assert len(shards) == d_max - 1
+    for stats, built in zip(report.per_degree, shards):
+        keys = {k + c for k in keys for c in codes}
+        assert [k for shard in built for k in shard] == sorted(keys)
+        # a shard is the keys of one row-0 count
+        assert all(len({k // scale for k in shard}) == 1 for shard in built)
+        assert stats.fiber_count == len(keys)
+
+
+def test_witness_search_builds_one_shard_of_its_last_degree(monkeypatch):
+    degrees = _recording_shards(monkeypatch)
+    witness = fc.find_indispensable(Z2xZ2, 4, 3)
+    assert witness.degree == 4
+    assert [len(alive) for alive in degrees[1:]] == [20, 1]
+    # the whole of degree 4 has 35 shards, one per row-0 count of 4 flows
+    degrees.clear()
+    fc.certify_degree(Z2xZ2, 4, 4, 3)
+    assert [len(alive) for alive in degrees[1:]] == [20, 35]
+
+
+@pytest.mark.parametrize("group,n,m", [(Z2, 6, 2), (Z3, 4, 3)], ids=["z2-n6", "z3-n4"])
+def test_certify_holds_one_shard_of_its_last_degree(monkeypatch, group, n, m):
+    degrees = _recording_shards(monkeypatch)
+    assert fc.certify_degree(group, n, 4, m).verdict == "verified"
+    # degree 3 is kept whole for degree 4; each shard of degree 4 is freed
+    # before the next one is built
+    assert degrees[1] == list(range(len(degrees[1])))
+    assert len(degrees[2]) > 1
+    assert not any(degrees[2])

@@ -10,6 +10,7 @@ import pytest
 
 import flowcert as fc
 from flowcert.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CAPACITY,
     EXIT_OK,
     EXIT_USAGE,
@@ -217,6 +218,16 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+def test_empty_group_factors_are_usage_errors(capsys):
+    for value in ("2,,2", "2,", ",3"):
+        code, out, err = run(capsys, "flows", "--group", value, "--n", "2")
+        assert code == EXIT_USAGE, value
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "usage"
+        assert repr(value) in error["message"]
+
+
 def test_capacity_exit_code(capsys):
     code, out, err = run(capsys, "certify", "--group", "2", "--n", "6",
                          "--dmax", "4", "--m", "2", "--sweep-cap", "100")
@@ -312,6 +323,26 @@ def test_compat_rejects_non_integer_codes_without_traceback(tmp_path):
         error = json.loads(lines[0])["error"]
         assert error["type"] == "usage"
         assert error["message"].startswith(f"{path}: row 0: ")
+
+
+def test_stdout_closed_early_exits_without_traceback():
+    # The read end is closed before the child starts, so its first write
+    # of stdout fails.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowcert.cli", "witness", "--group", "3",
+             "--n", "3", "--m", "2"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
 
 
 def test_load_multiset_rejects_malformed_rows_as_usage_errors(tmp_path):

@@ -1,36 +1,70 @@
 """Large sweeps, opt-in via the FLOWCERT_STRETCH environment variable.
 
 Run with ``FLOWCERT_STRETCH=1 pytest tests/test_stretch.py -v -s``.  Each
-sweep holds only integer key sets up to its last degree.
+sweep runs in a child interpreter and its peak RSS is bounded: the sweep
+holds the key sets of the two degrees below its last one and a single
+row-0 shard of the last.  The child reads its peak as ``VmHWM`` from
+``/proc/self/status`` (Linux only).  ``getrusage``'s ``ru_maxrss`` would
+not do: Linux carries the spawning process's peak across ``exec``, so
+under pytest it reads at least pytest's own peak.
 """
 
 from __future__ import annotations
 
+import json
 import os
-import time
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+CHILD = """
+import json, sys, time
 import flowcert as fc
+factors, n, d_max, m = json.loads(sys.argv[1])
+started = time.monotonic()
+report = fc.certify_degree(fc.make_group(factors), n, d_max, m)
+print(json.dumps({
+    "verdict": report.verdict,
+    "fibers": [s.fiber_count for s in report.per_degree],
+    "disconnected": sum(s.disconnected_count for s in report.per_degree),
+    "elapsed_s": time.monotonic() - started,
+    "peak_rss_mib": next(
+        int(line.split()[1]) / 1024
+        for line in open("/proc/self/status") if line.startswith("VmHWM:")
+    ),
+}))
+"""
 
 
 @pytest.mark.skipif(
     not os.environ.get("FLOWCERT_STRETCH"),
     reason="stretch sweeps run only with FLOWCERT_STRETCH=1",
 )
+@pytest.mark.skipif(sys.platform != "linux", reason="peak RSS is read from /proc")
 @pytest.mark.parametrize(
-    "factors,n,d_max,m,fibers",
+    "factors,n,d_max,m,fibers,peak_mib",
     [
-        ([2], 8, 4, 2, (3153, 31744, 190577)),
-        ([3], 5, 5, 3, (2187, 27907, 215703, 1181547)),
+        # peak RSS on 2-core x86-64, CPython 3.11: 24 MiB (39 MiB when the
+        # last degree was built whole)
+        ([2], 8, 4, 2, [3153, 31744, 190577], 32),
+        # 44 MiB (136 MiB when the last degree was built whole)
+        ([3], 5, 5, 3, [2187, 27907, 215703, 1181547], 80),
     ],
     ids=["z2-n8-d4-m2", "z3-n5-d5-m3"],
 )
-def test_stretch_sweep_verified(factors, n, d_max, m, fibers):
-    started = time.monotonic()
-    report = fc.certify_degree(fc.make_group(factors), n, d_max, m)
-    assert report.verdict == "verified"
-    assert tuple(s.fiber_count for s in report.per_degree) == fibers
-    assert not any(s.disconnected_count for s in report.per_degree)
-    elapsed = time.monotonic() - started
-    print(f"stretch sweep, factors {factors}, n={n}, d_max={d_max}, m={m}: {elapsed:.1f}s")
+def test_stretch_sweep_verified(factors, n, d_max, m, fibers, peak_mib):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps([factors, n, d_max, m])],
+        capture_output=True, text=True, check=True, timeout=600,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    result = json.loads(proc.stdout)
+    assert result["verdict"] == "verified"
+    assert result["fibers"] == fibers
+    assert result["disconnected"] == 0
+    print(f"stretch sweep, factors {factors}, n={n}, d_max={d_max}, m={m}: "
+          f"{result['elapsed_s']:.1f}s, peak RSS {result['peak_rss_mib']:.1f} MiB")
+    assert result["peak_rss_mib"] < peak_mib
