@@ -5,10 +5,12 @@ when they share at least d - m members.  The sweep decides every fiber of
 every degree in [2, d_max] and aggregates a report; a disconnected fiber
 yields a witness pair proving that moves of degree <= m do not suffice at
 that degree.  Up to and including the first degree with a disconnected
-fiber, each fiber is decided from the sets of signatures one and two
-degrees below, without building its members; members are built for
-witnesses and for the degrees after that one.  A report never claims more
-than the range it actually swept.
+fiber, each fiber is decided from flow masks, without building its
+members: the mask of a signature marks the flows whose removal leaves a
+signature one degree below, and a search over the bits of a fiber's mask
+reads the masks of that degree.  Members are built for witnesses and for
+the degrees after that one.  A report never claims more than the range it
+actually swept.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from itertools import chain, combinations
+from itertools import combinations, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
@@ -292,35 +294,77 @@ def _signature_witness(
     return Witness(d, sig, *_fiber_verdict((sig, members), m)[2])
 
 
-def _key_shards(
-    below: dict[int, list[int]], flows: dict[int, list[int]]
-) -> Iterator[list[int]]:
-    """The keys one degree above ``below``, one row-0 shard at a time, each
-    shard sorted and the shards in ascending order of their ids.
+class _KeySet:
+    """K[d], the keys of one degree d, as shards built on demand.
 
-    A key's shard id is its row-0 digits, the most significant ones, so the
-    shards concatenate to the sorted key set.  Both arguments map a shard
-    id to its keys: ``below`` holds the keys one degree down and ``flows``
-    the flow keys, whose shard id is the one nonzero row-0 digit of their
-    class.  Every fiber of shard H has a flow of each class g with a
-    nonzero digit in H, so shard H is exactly shard H - g of ``below`` plus
-    the flows of class g; of those classes, the one with the smallest
-    source shard is used.
+    A key's shard id is its row-0 and row-1 digits, ``key // scale``.
+    Those are its most significant digits, so the shards, each sorted and
+    taken in ascending order of their ids, are sorted K[d].  A shard maps
+    each key b to its flow mask S(b), whose bit i is set when b minus the
+    key of flow i is in K[d - 1].  A flow's class is its own shard id, and
+    b - f lies in shard H - (class of f) of K[d - 1], so shard H is every
+    flow of class h added to shard H - h of K[d - 1], over all classes h.
+
+    ``classes`` maps each class to its flows as (key, bit) pairs.  A built
+    shard is kept while ``keep`` holds, until every shard of K[d + 1] that
+    reads it is built.  K[0] is the one key 0, whose mask is empty.
     """
-    for shard in sorted({s + h for s in below for h in flows}):
-        h = min((h for h in flows if shard - h in below), key=lambda h: len(below[shard - h]))
-        yield sorted({k + c for k in below[shard - h] for c in flows[h]})
 
+    def __init__(
+        self,
+        below: Optional[_KeySet],
+        classes: dict[int, list[tuple[int, int]]],
+        keep: bool,
+    ):
+        self.below, self.classes, self.keep = below, classes, keep
+        self.kept: dict[int, dict[int, int]] = {}
+        if below is None:
+            self.degree, self.ids = 0, [0]
+            self.kept[0] = {0: 0}
+        else:
+            self.degree = below.degree + 1
+            self.ids = sorted({s + h for s in below.ids for h in classes})
+        # each shard is read by one shard of K[d + 1] per class
+        self.readers = dict.fromkeys(self.ids, len(classes))
 
-def _kept(
-    shards: Iterator[list[int]], keys: set[int], by_shard: dict[int, list[int]], scale: int
-) -> Iterator[list[int]]:
-    """Pass the shards on, recording each into ``keys`` and, under its id
-    ``key // scale``, into ``by_shard``."""
-    for members in shards:
-        keys.update(members)
-        by_shard[members[0] // scale] = members
-        yield members
+    def sources(self, shard_id: int) -> dict[int, dict[int, int]]:
+        """The shards of K[d - 1] that shard ``shard_id`` reads, by class."""
+        below = self.below
+        return {
+            h: below.shard(shard_id - h)
+            for h in self.classes
+            if shard_id - h in below.readers
+        }
+
+    def build(self, shard_id: int) -> dict[int, int]:
+        """Shard ``shard_id``, built from its sources and kept nowhere."""
+        masks: dict[int, int] = {}
+        get = masks.get
+        for h, keys in self.sources(shard_id).items():
+            for c, bit in self.classes[h]:
+                for k in keys:
+                    key = k + c
+                    masks[key] = get(key, 0) | bit
+        return masks
+
+    def shard(self, shard_id: int) -> dict[int, int]:
+        masks = self.kept.get(shard_id)
+        if masks is None:
+            masks = self.build(shard_id)
+            if self.keep:
+                self.kept[shard_id] = masks
+            for h in self.classes:
+                self.below.release(shard_id - h)
+        return masks
+
+    def release(self, shard_id: int) -> None:
+        """Count one reader of shard ``shard_id`` as built; after the last,
+        free the shard."""
+        left = self.readers.get(shard_id)
+        if left is not None:
+            self.readers[shard_id] = left - 1
+            if left == 1:
+                self.kept.pop(shard_id, None)
 
 
 def _degree_verdicts(
@@ -339,44 +383,62 @@ def _degree_verdicts(
     degree d - 1 is connected under moves of degree <= m.  The members of
     fiber b that contain a flow f are then a connected copy of fiber b - f,
     and two members one move apart share a flow, since m < d.  So fiber b
-    is connected exactly when the flows f with b - f in K[d - 1] are
-    connected, f joined to g when b - f - g is in K[d - 2].  Fibers of
-    degree <= m are connected, so this premise holds up to and including
-    the first degree with a disconnected fiber.  The degrees after it, which
-    only ``find_all`` reaches, bucket their members instead.
+    is connected exactly when its flows S(b), the f with b - f in K[d - 1],
+    are connected, f joined to g when b - f - g is in K[d - 2], that is,
+    when g is in S(b - f).  S(b - f) is a subset of S(b), so a search over
+    the bits of S(b) decides fiber b, one probe of K[d - 1] per flow it
+    reaches.  Fibers of degree <= m are connected, so this premise holds up
+    to and including the first degree with a disconnected fiber.  The
+    degrees after it, which only ``find_all`` reaches, bucket their members
+    instead.
 
-    K[d] is built one row-0 shard at a time (:func:`_key_shards`) as the
-    caller consumes its verdicts, so a caller that stops at a witness
-    builds neither the rest of that degree nor the next.  The caller asks
-    for the next degree only after consuming every verdict of this one,
-    which completes K[d].  K[d - 1] and K[d - 2] are held whole; of K[d],
-    only the current shard, unless a later degree reads K[d].
+    Each K[d] is a :class:`_KeySet`, and its shards are built as the
+    verdicts ask for them, or as a shard of K[d + 1] reads them, so a
+    caller that skips the verdicts of a degree <= m builds only the shards
+    that the verdicts it does consume read.  A shard of K[d - 1] is freed
+    once the last shard of K[d] that reads it is built, and deciding that
+    shard holds its sources until its last fiber.  The sweep keeps K[d] for
+    the next degree, unless d is d_max or one of its fibers is disconnected.
     """
     base = d_max + 1
     failed = False
 
-    def decide(d: int, fibers: Iterator[int], below: set[int], two_below: set[int]):
+    def counted(keys: _KeySet) -> Iterator[None]:
+        for shard_id in keys.ids:
+            yield from repeat(None, len(keys.shard(shard_id)))
+
+    def decided(keys: _KeySet) -> Iterator[Optional[Callable[[], Witness]]]:
+        # one generator per shard: its frame, which holds the shard and its
+        # sources, is gone before the next shard is built
+        for shard_id in keys.ids:
+            yield from decide(keys, shard_id)
+
+    def decide(keys: _KeySet, shard_id: int) -> Iterator[Optional[Callable[[], Witness]]]:
         nonlocal failed
-        for b in fibers:
-            # The flows of fiber b, as keys; reach from one of them and see
-            # whether any is left unreached.
-            rest = [c for c in codes if b - c in below]
-            stack = [rest.pop()]
-            while stack and rest:
-                r = b - stack.pop()
-                keep = []
-                for c in rest:
-                    if r - c in two_below:
-                        stack.append(c)
-                    else:
-                        keep.append(c)
-                rest = keep
-            if rest:
-                failed = True
-                sig = key_signature(b, n, group.order, base)
-                yield partial(_signature_witness, group, n, d, sig, m, sweep_cap)
-            else:
+        sources = keys.sources(shard_id)
+        masks = keys.shard(shard_id)
+        # flow i's neighbours in fiber b are the mask of b - codes[i]
+        below = [sources.get(h) for h in class_of]
+        for b in sorted(masks):
+            full = masks[b]
+            reached = todo = full & -full
+            while todo and reached != full:
+                low = todo & -todo
+                todo ^= low
+                i = low.bit_length() - 1
+                grow = below[i][b - codes[i]] & ~reached
+                reached |= grow
+                todo |= grow
+            if reached == full:
                 yield None
+                continue
+            if not failed:
+                failed = True
+                # no later degree reads K[d]
+                keys.keep = False
+                keys.kept.clear()
+            sig = key_signature(b, n, group.order, base)
+            yield partial(_signature_witness, group, n, keys.degree, sig, m, sweep_cap)
 
     for d in range(2, d_max + 1):
         try:
@@ -386,27 +448,19 @@ def _degree_verdicts(
                 f"degree {d} of the sweep: {exc}", required=exc.required, cap=exc.cap
             ) from exc
         if failed:
-            keys = below = two_below = by_shard = shards = fibers = None  # free the key sets
+            keys = None  # free the key sets
             yield d, total, _member_verdicts(group, n, d, m, sweep_cap)
             continue
         if d == 2:
             codes = flow_keys(enumerate_flows(group, n), base)
-            scale = base ** ((n - 1) * group.order)
-            flows: dict[int, list[int]] = {}
-            for c in codes:
-                flows.setdefault(c // scale, []).append(c)
-            below, keys, by_shard = {0}, set(codes), flows
-        two_below, below = below, keys
-        shards = _key_shards(by_shard, flows)
-        if d < d_max:
-            keys, by_shard = set(), {}
-            shards = _kept(shards, keys, by_shard, scale)
-        # chain drops each shard before it asks for the next one
-        fibers = chain.from_iterable(shards)
-        if d <= m:
-            yield d, total, (None for _ in fibers)
-        else:
-            yield d, total, decide(d, fibers, below, two_below)
+            scale = base ** (max(n - 2, 0) * group.order)
+            class_of = [c // scale for c in codes]
+            classes: dict[int, list[tuple[int, int]]] = {}
+            for i, c in enumerate(codes):
+                classes.setdefault(class_of[i], []).append((c, 1 << i))
+            keys = _KeySet(_KeySet(None, classes, True), classes, True)
+        keys = _KeySet(keys, classes, d < d_max)
+        yield d, total, counted(keys) if d <= m else decided(keys)
 
 
 def certify_degree(
@@ -548,7 +602,9 @@ def find_indispensable(
     degree; None only means the range [2, d_max] is clean.
     """
     n, d_max, m, sweep_cap = _check_sweep(n, d_max, m, sweep_cap)
-    for _, _, verdicts in _degree_verdicts(group, n, d_max, m, sweep_cap):
+    for d, _, verdicts in _degree_verdicts(group, n, d_max, m, sweep_cap):
+        if d <= m:
+            continue  # every fiber is connected; build none of its keys
         for witness in verdicts:
             if witness is not None:
                 return witness()

@@ -685,28 +685,45 @@ def test_find_all_buckets_only_the_degrees_after_the_first_failing_one(monkeypat
     assert bucketed == [4]
 
 
-class _Shard(list):
+class _Shard(dict):
     """A shard that can be weakly referenced, to see when it is freed."""
 
 
+def _key_classes(group, n, d_max):
+    """The flow keys, the shard scale and each degree's shard ids, rebuilt
+    here from the flows: a shard id is a key's row-0 and row-1 digits."""
+    base = d_max + 1
+    codes = flow_keys(fc.enumerate_flows(group, n), base)
+    scale = base ** (max(n - 2, 0) * group.order)
+    classes = {c // scale for c in codes}
+    ids = [{0}]
+    for _ in range(d_max):
+        ids.append({s + h for s in ids[-1] for h in classes})
+    return codes, scale, classes, ids
+
+
 def _recording_shards(monkeypatch):
-    """Wrap the shard builder.  Returns one list per degree built: for each
-    shard it yielded, how many earlier shards of that degree were still
-    alive once it was built."""
-    original = certify_module._key_shards
-    degrees = []
+    """Wrap the shard builder.  Returns, per degree, one entry for each
+    shard it built, in build order: the shard's id, how many earlier shards
+    of that degree were still alive once it was built, and the ids of the
+    shards one degree down that were alive then."""
+    original = certify_module._KeySet.build
+    refs: dict[int, dict[int, weakref.ref]] = {}
+    degrees: dict[int, list[tuple[int, int, set[int]]]] = {}
 
-    def recording(below, flows):
-        refs, alive = [], []
-        degrees.append(alive)
-        for keys in original(below, flows):
-            alive.append(sum(ref() is not None for ref in refs))
-            shard = _Shard(keys)
-            refs.append(weakref.ref(shard))
-            yield shard
-            del shard
+    def recording(self, shard_id):
+        shard = _Shard(original(self, shard_id))
+        mine = refs.setdefault(self.degree, {})
+        lower = refs.get(self.degree - 1, {})
+        degrees.setdefault(self.degree, []).append((
+            shard_id,
+            sum(ref() is not None for ref in mine.values()),
+            {s for s, ref in lower.items() if ref() is not None},
+        ))
+        mine[shard_id] = weakref.ref(shard)
+        return shard
 
-    monkeypatch.setattr(certify_module, "_key_shards", recording)
+    monkeypatch.setattr(certify_module._KeySet, "build", recording)
     return degrees
 
 
@@ -717,46 +734,83 @@ def _recording_shards(monkeypatch):
 )
 def test_shards_concatenate_to_the_sorted_key_set(monkeypatch, factors, n):
     group, d_max = fc.make_group(factors), 4
-    shards = []
-    original = certify_module._key_shards
+    built: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    original = certify_module._KeySet.build
 
-    def recording(below, flows):
-        shards.append(list(original(below, flows)))
-        yield from shards[-1]
+    def recording(self, shard_id):
+        masks = original(self, shard_id)
+        built.setdefault(self.degree, []).append((shard_id, masks))
+        return masks
 
-    monkeypatch.setattr(certify_module, "_key_shards", recording)
+    monkeypatch.setattr(certify_module._KeySet, "build", recording)
     report = fc.certify_degree(group, n, d_max, d_max)
     # the full build each degree replaced: every flow added to every key below
-    base = d_max + 1
-    codes = flow_keys(fc.enumerate_flows(group, n), base)
-    scale = base ** ((n - 1) * group.order)
-    keys = set(codes)
-    assert len(shards) == d_max - 1
-    for stats, built in zip(report.per_degree, shards):
-        keys = {k + c for k in keys for c in codes}
-        assert [k for shard in built for k in shard] == sorted(keys)
-        # a shard is the keys of one row-0 count
-        assert all(len({k // scale for k in shard}) == 1 for shard in built)
-        assert stats.fiber_count == len(keys)
+    codes, scale, _, _ = _key_classes(group, n, d_max)
+    keys = {0}
+    assert sorted(built) == list(range(1, d_max + 1))
+    for d in range(1, d_max + 1):
+        below, keys = keys, {k + c for k in keys for c in codes}
+        shards = built[d]
+        assert [k for _, masks in shards for k in sorted(masks)] == sorted(keys)
+        # a shard is the keys of one count at rows 0 and 1, built once
+        assert all(k // scale == shard_id for shard_id, masks in shards for k in masks)
+        assert len({shard_id for shard_id, _ in shards}) == len(shards)
+        # bit i of a key's mask: the key less flow i is a key one degree down
+        for _, masks in shards:
+            for b, mask in masks.items():
+                assert mask == sum(1 << i for i, c in enumerate(codes) if b - c in below)
+        if d >= 2:
+            assert report.per_degree[d - 2].fiber_count == len(keys)
 
 
-def test_witness_search_builds_one_shard_of_its_last_degree(monkeypatch):
+def test_witness_search_builds_only_the_shards_its_verdicts_read(monkeypatch):
     degrees = _recording_shards(monkeypatch)
     witness = fc.find_indispensable(Z2xZ2, 4, 3)
     assert witness.degree == 4
-    assert [len(alive) for alive in degrees[1:]] == [20, 1]
-    # the whole of degree 4 has 35 shards, one per row-0 count of 4 flows
+    codes, scale, classes, ids = _key_classes(Z2xZ2, 4, 4)
+    key = 0
+    for count in (c for row in witness.signature.counts for c in row):
+        key = key * 5 + count
+    # the verdicts read the degree-4 shards up to the witness's, and what
+    # each of those is built from, degree by degree down
+    read = {4: {h for h in ids[4] if h <= key // scale}}
+    for d in (3, 2, 1):
+        read[d] = {h - g for h in read[d + 1] for g in classes} & ids[d]
+    assert {d: {h for h, _, _ in built} for d, built in degrees.items()} == read
+    assert all(len(built) == len(read[d]) for d, built in degrees.items())
+    assert [len(read[d]) for d in (1, 2, 3, 4)] == [2, 3, 3, 3]
+    # the full sweep builds every shard of every degree
     degrees.clear()
     fc.certify_degree(Z2xZ2, 4, 4, 3)
-    assert [len(alive) for alive in degrees[1:]] == [20, 35]
+    assert [len(degrees[d]) for d in (1, 2, 3, 4)] == [16, 100, 400, 1225]
+    assert [len(ids[d]) for d in (1, 2, 3, 4)] == [16, 100, 400, 1225]
 
 
 @pytest.mark.parametrize("group,n,m", [(Z2, 6, 2), (Z3, 4, 3)], ids=["z2-n6", "z3-n4"])
 def test_certify_holds_one_shard_of_its_last_degree(monkeypatch, group, n, m):
     degrees = _recording_shards(monkeypatch)
     assert fc.certify_degree(group, n, 4, m).verdict == "verified"
+    _, _, classes, ids = _key_classes(group, n, 4)
     # degree 3 is kept whole for degree 4; each shard of degree 4 is freed
     # before the next one is built
-    assert degrees[1] == list(range(len(degrees[1])))
-    assert len(degrees[2]) > 1
-    assert not any(degrees[2])
+    assert [alive for _, alive, _ in degrees[3]] == list(range(len(ids[3])))
+    assert len(degrees[4]) == len(ids[4]) > 1
+    assert not any(alive for _, alive, _ in degrees[4])
+    # a shard one degree down lives until the last shard that reads it,
+    # its id plus the largest class, is built
+    for d in (3, 4):
+        for shard_id, _, lower in degrees[d]:
+            assert lower == {s for s in ids[d - 1] if s + max(classes) >= shard_id}
+
+
+def test_a_failing_degree_keeps_none_of_its_shards_from_its_first_witness(monkeypatch):
+    degrees = _recording_shards(monkeypatch)
+    report = fc.certify_degree(Z2xZ2, 4, 5, 3)
+    assert [s.disconnected_count > 0 for s in report.per_degree] == [False, False, True]
+    # degree 4 is not the last, so its shards are kept until the first
+    # disconnected fiber, which is in the third shard; no later degree
+    # reads them, so from then on none is kept
+    alive = [alive for _, alive, _ in degrees[4]]
+    assert alive[:3] == [0, 1, 2]
+    assert len(alive) == 1225 and not any(alive[3:])
+    assert 5 not in degrees
