@@ -8,19 +8,21 @@ that degree.  Up to and including the first degree with a disconnected
 fiber, each fiber is decided from flow masks, without building its
 members: the mask of a signature marks the flows whose removal leaves a
 signature one degree below, and a search over the bits of a fiber's mask
-reads the masks of that degree.  Members are built for witnesses and for
-the degrees after that one.  A report never claims more than the range it
-actually swept.
+reads the masks of that degree.  Flow symmetries that map key shards onto
+shards and keep every verdict let the sweep decide only the least shard
+of each orbit and carry its counts and witnesses to the others.  Members
+are built for witnesses and for the degrees after that one.  A report
+never claims more than the range it actually swept.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
-from functools import partial
-from itertools import combinations, repeat
-from typing import Callable, Iterable, Iterator, Optional
+from dataclasses import dataclass, field, fields
+from functools import cached_property, partial
+from itertools import combinations
+from typing import Callable, Generator, Iterable, Iterator, Optional
 
 from .errors import (
     CapacityError,
@@ -48,7 +50,16 @@ from .fibers import (
     sweep_size,
 )
 from .flows import enumerate_flows
-from .groups import Group, group_from_json, group_to_json, json_fields, strict_int
+from .groups import (
+    Group,
+    add_table,
+    automorphisms,
+    group_from_json,
+    group_to_json,
+    json_fields,
+    neg_table,
+    strict_int,
+)
 from .moves import Move
 
 
@@ -70,10 +81,17 @@ class FiberComponents:
 
 @dataclass(frozen=True)
 class DegreeStats:
+    """One degree of a sweep.  ``decided_count`` fibers were decided by the
+    sweep itself and ``covered_count`` as images of a rep shard's fibers
+    under the shard symmetries; like a report's ``elapsed_ms``, the two are
+    left out of comparison, and they are left out of the report's JSON."""
+
     degree: int
     fiber_count: int
     multiset_count: int
     disconnected_count: int
+    decided_count: int = field(compare=False, default=0)
+    covered_count: int = field(compare=False, default=0)
 
     def __str__(self) -> str:
         return (
@@ -278,11 +296,13 @@ def _check_sweep(n: int, d_max: int, m: int, sweep_cap: int) -> tuple[int, int, 
 
 
 def _member_verdicts(
-    group: Group, n: int, d: int, m: int, sweep_cap: int
-) -> Iterator[Optional[Callable[[], Witness]]]:
+    group: Group, n: int, d: int, m: int, sweep_cap: int, tally: _Tally
+) -> Iterator[Callable[[], Witness]]:
     for item in enumerate_all_fibers(group, n, d, cap=sweep_cap):
+        tally.decided += 1
         sig, _, pair = _fiber_verdict(item, m)
-        yield None if pair is None else partial(Witness, d, sig, *pair)
+        if pair is not None:
+            yield partial(Witness, d, sig, *pair)
 
 
 def _signature_witness(
@@ -305,36 +325,32 @@ class _KeySet:
     b - f lies in shard H - (class of f) of K[d - 1], so shard H is every
     flow of class h added to shard H - h of K[d - 1], over all classes h.
 
-    ``classes`` maps each class to its flows as (key, bit) pairs.  A built
-    shard is kept while ``keep`` holds, until every shard of K[d + 1] that
-    reads it is built.  K[0] is the one key 0, whose mask is empty.
+    ``classes`` maps each class to its flows as (key, bit) pairs.  While
+    ``keep`` holds, a built shard is kept until the last shard one degree
+    up that reads it and that the sweep builds, as ``shards`` counts them,
+    is built.  K[0] is the one key 0, whose mask is empty.
     """
 
     def __init__(
         self,
         below: Optional[_KeySet],
         classes: dict[int, list[tuple[int, int]]],
+        shards: _ShardOrbits,
         keep: bool,
     ):
-        self.below, self.classes, self.keep = below, classes, keep
+        self.below, self.classes, self.shards, self.keep = below, classes, shards, keep
+        self.degree = 0 if below is None else below.degree + 1
         self.kept: dict[int, dict[int, int]] = {}
+        # per kept shard, its readers not built yet
+        self.readers: dict[int, int] = {}
         if below is None:
-            self.degree, self.ids = 0, [0]
             self.kept[0] = {0: 0}
-        else:
-            self.degree = below.degree + 1
-            self.ids = sorted({s + h for s in below.ids for h in classes})
-        # each shard is read by one shard of K[d + 1] per class
-        self.readers = dict.fromkeys(self.ids, len(classes))
+            self.readers[0] = shards.readers(0, 0)
 
     def sources(self, shard_id: int) -> dict[int, dict[int, int]]:
         """The shards of K[d - 1] that shard ``shard_id`` reads, by class."""
         below = self.below
-        return {
-            h: below.shard(shard_id - h)
-            for h in self.classes
-            if shard_id - h in below.readers
-        }
+        return {shard_id - s: below.shard(s) for s in self.shards.sources(shard_id)}
 
     def build(self, shard_id: int) -> dict[int, int]:
         """Shard ``shard_id``, built from its sources and kept nowhere."""
@@ -351,8 +367,10 @@ class _KeySet:
         masks = self.kept.get(shard_id)
         if masks is None:
             masks = self.build(shard_id)
-            if self.keep:
+            readers = self.shards.readers(self.degree, shard_id) if self.keep else 0
+            if readers:
                 self.kept[shard_id] = masks
+                self.readers[shard_id] = readers
             for h in self.classes:
                 self.below.release(shard_id - h)
         return masks
@@ -360,20 +378,206 @@ class _KeySet:
     def release(self, shard_id: int) -> None:
         """Count one reader of shard ``shard_id`` as built; after the last,
         free the shard."""
-        left = self.readers.get(shard_id)
-        if left is not None:
+        left = self.readers.pop(shard_id, 0)
+        if left > 1:
             self.readers[shard_id] = left - 1
-            if left == 1:
-                self.kept.pop(shard_id, None)
+        elif left:
+            del self.kept[shard_id]
+
+
+class _ShardOrbits:
+    """The shard ids of each K[d] up to d_max, their orbits under the flow
+    symmetries that map shards onto shards, and the shards the sweep builds.
+
+    An element of the group relabels every row by one automorphism of G
+    (only the identity for a product group), shifts row 0 by t0, row 1 by
+    t1 and row n - 1 by -t0 - t1 (t1 = -t0 for n = 2; no shift for n = 1),
+    and may then swap rows 0 and 1.  Each is a bijection of the flows, so
+    it maps K[d] onto K[d] and S(b) onto S(g b), and keeps every verdict.
+    It moves rows 0 and 1 among themselves, so it maps shards onto shards.
+    The rep of an orbit is its least id.  The sweep builds the reps of
+    every degree from 2 up, and the shards one degree down that the shards
+    it builds read.
+
+    A row of counts is handled as its value, its digits in base
+    d_max + 1, column 0 most significant.  A shard id is the values of
+    rows 0 and 1, row 0 the more significant; for n = 1, of row 0.  For
+    n >= 3 rows 0 and 1 of a key are any two rows of its degree; for
+    n = 2, row 1 is row 0 negated; for n = 1, the one flow is all zeros.
+    """
+
+    def __init__(self, group: Group, n: int, d_max: int):
+        q, base = group.order, d_max + 1
+        self.add, self.negation = add_table(group), neg_table(group)
+        self.autos = automorphisms(group) if len(group.factors) == 1 else [tuple(range(q))]
+        self.n, self.q, self.base, self.width = n, q, base, base**q
+        self.d_max = d_max
+        identity = tuple(range(q))
+        shifts = [self.perm(identity, t) for t in (range(q) if n > 1 else (0,))]
+        units = [base ** (q - 1 - v) for v in range(q)]
+        # per degree, its row values, ascending; per row value, the row
+        # values one degree down within it
+        self.rows: list[list[int]] = [[0]]
+        self.lower: dict[int, list[int]] = {}
+        # per row value, for each automorphism, the least value of the
+        # shifts of its image: the tables that rep tests read
+        self.lows: dict[int, tuple[int, ...]] = {}
+        self.reps: list[set[int]] = [set()]
+        for d in range(1, d_max + 1):
+            below = set(self.rows[-1])
+            rows = sorted({r + u for r in below for u in units})
+            self.rows.append(rows)
+            # the least row of each shift orbit is met first
+            least, low = [], {}
+            for r in rows:
+                self.lower[r] = [r - u for u in units if r - u in below]
+                if r not in low:
+                    least.append(r)
+                    low.update(dict.fromkeys((self.move(r, t) for t in shifts), r))
+            # autos[0] is the identity
+            for r in rows:
+                self.lows[r] = (low[r],) + tuple(low[self.move(r, phi)] for phi in self.autos[1:])
+            # a rep's rows are each the least of their shifts
+            if n == 1:
+                candidates = [d * units[0]]
+            elif n == 2:
+                candidates = [self.paired(r) for r in least]
+            else:
+                candidates = [a * self.width + b for i, a in enumerate(least) for b in least[i:]]
+            self.reps.append({s for s in candidates if d >= 2 and self.rep(s) == s})
+        self.classes = list(self.ids(1))
+        # per degree, the shards the sweep builds: the reps, and the
+        # shards one degree down that the shards it builds read
+        self.built: list[set[int]] = [set() for _ in self.rows]
+        for d in range(d_max, 0, -1):
+            above = self.built[d + 1] if d < d_max else ()
+            self.built[d] = self.reps[d] | {s for up in above for s in self.sources(up)}
+
+    def paired(self, row: int) -> int:
+        """For n = 2, the shard id whose row 0 is ``row``: row 1 is it
+        negated."""
+        return row * self.width + self.move(row, self.negation)
+
+    def ids(self, d: int) -> Iterable[int]:
+        """The shard ids of K[d], ascending."""
+        rows, width = self.rows[d], self.width
+        if self.n == 1:
+            return [d * self.base ** (self.q - 1)]
+        if self.n == 2:
+            return sorted(self.paired(r) for r in rows)
+        return (a * width + b for a in rows for b in rows)
+
+    def sources(self, shard_id: int) -> list[int]:
+        """The shard ids one degree down that shard ``shard_id`` reads."""
+        if self.n == 1:
+            return self.lower[shard_id]
+        a, b = divmod(shard_id, self.width)
+        if self.n == 2:
+            return [self.paired(r) for r in self.lower[a]]
+        return [x * self.width + y for x in self.lower[a] for y in self.lower[b]]
+
+    def perm(self, phi: tuple[int, ...], t: int) -> tuple[int, ...]:
+        """The code permutation v -> phi(v) + t."""
+        return tuple(self.add[t][phi[v]] for v in range(self.q))
+
+    def move(self, value: int, perm: tuple[int, ...]) -> int:
+        """The value of the row ``value`` with column v moved to perm[v]."""
+        out, base, top = 0, self.base, self.q - 1
+        for v in range(top, -1, -1):
+            value, c = divmod(value, base)
+            out += c * base ** (top - perm[v])
+        return out
+
+    def rep(self, shard_id: int) -> int:
+        """The least id of the orbit of shard ``shard_id``.
+
+        Rows 0 and 1 shift independently for n >= 3, and the swap puts
+        either first, so the rep's rows are the smaller and the larger of
+        their least values, under the automorphism that gives the least id.
+        For n = 2 the rep's row 0 is the least value of either row.
+        """
+        if self.n == 1:
+            return min(self.lows[shard_id])
+        width = self.width
+        r0, r1 = divmod(shard_id, width)
+        pairs = list(zip(self.lows[r0], self.lows[r1]))
+        if self.n == 2:
+            return self.paired(min(min(pair) for pair in pairs))
+        return min(min(pair) * width + max(pair) for pair in pairs)
+
+    def readers(self, d: int, shard_id: int) -> int:
+        """How many shards of K[d + 1] that the sweep builds read shard
+        ``shard_id`` of K[d]."""
+        if d == self.d_max:
+            return 0
+        built = self.built[d + 1]
+        return sum(shard_id + h in built for h in self.classes)
+
+    @cached_property
+    def elements(self) -> list[tuple[bool, tuple[tuple[int, ...], ...]]]:
+        """Every element as (swap rows 0 and 1?, one code permutation per
+        row)."""
+        n, q, add, neg = self.n, self.q, self.add, self.negation
+        if n == 1:
+            shifts = [(0,)]
+        elif n == 2:
+            shifts = [(t, neg[t]) for t in range(q)]
+        else:
+            shifts = [
+                (t0, t1) + (0,) * (n - 3) + (neg[add[t0][t1]],)
+                for t0 in range(q)
+                for t1 in range(q)
+            ]
+        return [
+            (swap, tuple(self.perm(phi, t) for t in ts))
+            for phi in self.autos
+            for ts in shifts
+            for swap in ((False, True) if n > 1 else (False,))
+        ]
+
+    def apply(self, element, counts: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+        """The rows ``counts`` (all n of a signature, or the leading ones)
+        under ``element``."""
+        swap, perms = element
+        rows = [_permuted(row, perm) for row, perm in zip(counts, perms)]
+        if swap:
+            rows[0], rows[1] = rows[1], rows[0]
+        return tuple(rows)
+
+    def carrier(self, rep: int, shard_id: int):
+        """An element that maps shard ``rep`` onto shard ``shard_id``."""
+        split = (lambda i: [i]) if self.n == 1 else (lambda i: list(divmod(i, self.width)))
+        source, target = split(rep), split(shard_id)
+        for swap, perms in self.elements:
+            rows = [self.move(r, perm) for r, perm in zip(source, perms)]
+            if (rows[::-1] if swap else rows) == target:
+                return swap, perms
+
+
+def _permuted(counts: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """A row of counts whose column v is moved to column perm[v]."""
+    out = [0] * len(counts)
+    for v, c in enumerate(counts):
+        out[perm[v]] = c
+    return tuple(out)
+
+
+@dataclass
+class _Tally:
+    """How the fibers of one degree were decided, counted as its verdicts
+    are drawn: by the sweep itself, or as images of a rep shard's fibers."""
+
+    decided: int = 0
+    covered: int = 0
 
 
 def _degree_verdicts(
     group: Group, n: int, d_max: int, m: int, sweep_cap: int
-) -> Iterator[tuple[int, int, Iterator[Optional[Callable[[], Witness]]]]]:
-    """For each degree d in [2, d_max], ``(d, multiset count, verdicts)``,
-    where the verdicts are one per fiber in ascending key order: None for a
-    connected fiber, a function that builds the :class:`Witness` for a
-    disconnected one.
+) -> Iterator[tuple[int, int, _Tally, Iterator[Callable[[], Witness]]]]:
+    """For each degree d in [2, d_max], ``(d, multiset count, tally,
+    witnesses)``, where the witnesses are one function per disconnected
+    fiber, in ascending key order, that builds its :class:`Witness`.  Once
+    the witnesses are drawn, the tally counts the fibers of the degree.
 
     Arguments come from :func:`_check_sweep`.  Each degree is sized
     against ``sweep_cap`` before any of it is built.
@@ -392,31 +596,58 @@ def _degree_verdicts(
     degrees after it, which only ``find_all`` reaches, bucket their members
     instead.
 
-    Each K[d] is a :class:`_KeySet`, and its shards are built as the
+    Each K[d] is a :class:`_KeySet`.  The symmetries of
+    :class:`_ShardOrbits` map shards onto shards and keep every verdict,
+    so only the rep of each orbit, its least shard, is built and decided.
+    Every other shard comes after its rep in key order and takes the rep's
+    fiber count; the rep's disconnected keys, carried over by one element
+    and sorted, are its disconnected keys.  Shards are built as the
     verdicts ask for them, or as a shard of K[d + 1] reads them, so a
     caller that skips the verdicts of a degree <= m builds only the shards
     that the verdicts it does consume read.  A shard of K[d - 1] is freed
-    once the last shard of K[d] that reads it is built, and deciding that
-    shard holds its sources until its last fiber.  The sweep keeps K[d] for
-    the next degree, unless d is d_max or one of its fibers is disconnected.
+    once the last shard of K[d] that reads it and that the sweep builds is
+    built, and deciding a shard holds its sources until its last fiber.
+    The sweep keeps K[d] for the next degree, unless d is d_max or one of
+    its fibers is disconnected.
     """
     base = d_max + 1
     failed = False
 
-    def counted(keys: _KeySet) -> Iterator[None]:
-        for shard_id in keys.ids:
-            yield from repeat(None, len(keys.shard(shard_id)))
+    def verdicts(keys: _KeySet, tally: _Tally) -> Iterator[Callable[[], Witness]]:
+        done: dict[int, tuple[int, list[int]]] = {}
+        reps = shards.reps[keys.degree]
+        for shard_id in shards.ids(keys.degree):
+            if shard_id in reps:
+                # one generator per shard: its frame, which holds the shard
+                # and its sources, is gone before the next shard is built
+                done[shard_id] = yield from decide(keys, shard_id, tally)
+                continue
+            rep = shards.rep(shard_id)
+            fibers, bad = done[rep]
+            tally.covered += fibers
+            if bad:
+                element = shards.carrier(rep, shard_id)
+                images = (
+                    ColumnSignature(
+                        shards.apply(element, key_signature(b, n, group.order, base).counts)
+                    )
+                    for b in bad
+                )
+                for sig in sorted(images, key=ColumnSignature.flat):
+                    yield partial(
+                        _signature_witness, group, n, keys.degree, sig, m, sweep_cap
+                    )
 
-    def decided(keys: _KeySet) -> Iterator[Optional[Callable[[], Witness]]]:
-        # one generator per shard: its frame, which holds the shard and its
-        # sources, is gone before the next shard is built
-        for shard_id in keys.ids:
-            yield from decide(keys, shard_id)
-
-    def decide(keys: _KeySet, shard_id: int) -> Iterator[Optional[Callable[[], Witness]]]:
+    def decide(
+        keys: _KeySet, shard_id: int, tally: _Tally
+    ) -> Generator[Callable[[], Witness], None, tuple[int, list[int]]]:
         nonlocal failed
         sources = keys.sources(shard_id)
         masks = keys.shard(shard_id)
+        tally.decided += len(masks)
+        bad: list[int] = []
+        if keys.degree <= m:
+            return len(masks), bad
         # flow i's neighbours in fiber b are the mask of b - codes[i]
         below = [sources.get(h) for h in class_of]
         for b in sorted(masks):
@@ -430,15 +661,17 @@ def _degree_verdicts(
                 reached |= grow
                 todo |= grow
             if reached == full:
-                yield None
                 continue
+            bad.append(b)
             if not failed:
                 failed = True
                 # no later degree reads K[d]
                 keys.keep = False
                 keys.kept.clear()
+                keys.readers.clear()
             sig = key_signature(b, n, group.order, base)
             yield partial(_signature_witness, group, n, keys.degree, sig, m, sweep_cap)
+        return len(masks), bad
 
     for d in range(2, d_max + 1):
         try:
@@ -447,9 +680,10 @@ def _degree_verdicts(
             raise CapacityError(
                 f"degree {d} of the sweep: {exc}", required=exc.required, cap=exc.cap
             ) from exc
+        tally = _Tally()
         if failed:
             keys = None  # free the key sets
-            yield d, total, _member_verdicts(group, n, d, m, sweep_cap)
+            yield d, total, tally, _member_verdicts(group, n, d, m, sweep_cap, tally)
             continue
         if d == 2:
             codes = flow_keys(enumerate_flows(group, n), base)
@@ -458,9 +692,10 @@ def _degree_verdicts(
             classes: dict[int, list[tuple[int, int]]] = {}
             for i, c in enumerate(codes):
                 classes.setdefault(class_of[i], []).append((c, 1 << i))
-            keys = _KeySet(_KeySet(None, classes, True), classes, True)
-        keys = _KeySet(keys, classes, d < d_max)
-        yield d, total, counted(keys) if d <= m else decided(keys)
+            shards = _ShardOrbits(group, n, d_max)
+            keys = _KeySet(_KeySet(None, classes, shards, True), classes, shards, True)
+        keys = _KeySet(keys, classes, shards, d < d_max)
+        yield d, total, tally, verdicts(keys, tally)
 
 
 def certify_degree(
@@ -479,6 +714,11 @@ def certify_degree(
     By default the sweep stops after the first degree that produced a
     witness and reports only the first one in (degree, fiber key) order;
     ``find_all=True`` sweeps the full range and keeps every witness.
+    Up to and including the first failing degree, only the least shard of
+    each orbit of the shard symmetries is built and searched; every other
+    shard takes its fiber and disconnected counts, and its witnesses, from
+    that rep, so the report is the one a search of every fiber would give.
+    Each :class:`DegreeStats` counts the fibers decided and those covered.
     The sweep always runs in the calling thread, whatever ``threads`` says:
     the fiber checks are pure Python and hold the GIL, and a thread pool
     measured slower than one thread.
@@ -489,21 +729,20 @@ def certify_degree(
     started = time.monotonic()
     per_degree: list[DegreeStats] = []
     witnesses: list[Witness] = []
-    for d, multisets, verdicts in _degree_verdicts(group, n, d_max, m, sweep_cap):
-        fiber_count = 0
+    for d, multisets, tally, found in _degree_verdicts(group, n, d_max, m, sweep_cap):
         disconnected = 0
-        for witness in verdicts:
-            fiber_count += 1
-            if witness is not None:
-                disconnected += 1
-                if find_all or disconnected == 1:
-                    witnesses.append(witness())
+        for witness in found:
+            disconnected += 1
+            if find_all or disconnected == 1:
+                witnesses.append(witness())
         per_degree.append(
             DegreeStats(
                 degree=d,
-                fiber_count=fiber_count,
+                fiber_count=tally.decided + tally.covered,
                 multiset_count=multisets,
                 disconnected_count=disconnected,
+                decided_count=tally.decided,
+                covered_count=tally.covered,
             )
         )
         if progress is not None:
@@ -602,12 +841,11 @@ def find_indispensable(
     degree; None only means the range [2, d_max] is clean.
     """
     n, d_max, m, sweep_cap = _check_sweep(n, d_max, m, sweep_cap)
-    for d, _, verdicts in _degree_verdicts(group, n, d_max, m, sweep_cap):
+    for d, _, _, found in _degree_verdicts(group, n, d_max, m, sweep_cap):
         if d <= m:
             continue  # every fiber is connected; build none of its keys
-        for witness in verdicts:
-            if witness is not None:
-                return witness()
+        for witness in found:
+            return witness()
     return None
 
 
@@ -644,7 +882,10 @@ def report_to_json(report: CertificationReport, *, include_elapsed: bool = True)
         "n": report.n,
         "d_max": report.d_max,
         "m": report.m,
-        "per_degree": [asdict(s) for s in report.per_degree],
+        "per_degree": [
+            {f.name: getattr(s, f.name) for f in fields(s) if f.compare}
+            for s in report.per_degree
+        ],
         "witnesses": [witness_to_json(w) for w in report.witnesses],
         "verdict": report.verdict,
         "statement": report.statement,
@@ -658,7 +899,7 @@ def report_from_json(data: dict) -> CertificationReport:
     def integer(obj: dict, key: str) -> int:
         return strict_int(obj[key], ShapeError, f"report field {key!r}")
 
-    keys = [f.name for f in fields(DegreeStats)]
+    keys = [f.name for f in fields(DegreeStats) if f.compare]
 
     def stats(entry: dict) -> DegreeStats:
         json_fields(entry, "per_degree entry", dict.fromkeys(keys, object))

@@ -183,7 +183,13 @@ def _cmd_certify(args) -> int:
         sweep_cap=args.sweep_cap,
         progress=_progress,
     )
-    print(f"elapsed: {report.elapsed_ms} ms", file=sys.stderr)
+    decided = sum(s.decided_count for s in report.per_degree)
+    covered = sum(s.covered_count for s in report.per_degree)
+    print(
+        f"elapsed: {report.elapsed_ms} ms, fibers decided {decided}, "
+        f"covered by symmetry {covered}",
+        file=sys.stderr,
+    )
     if args.format == "text":
         text = "\n".join([str(s) for s in report.per_degree] + [report.statement])
     else:

@@ -5,6 +5,8 @@ import json
 import random
 import threading
 import weakref
+from collections import Counter
+from operator import add
 
 import pytest
 
@@ -25,6 +27,9 @@ Z2 = fc.make_group([2])
 Z3 = fc.make_group([3])
 Z2xZ2 = fc.make_group([2, 2])
 Z4 = fc.make_group([4])
+Z5 = fc.make_group([5])
+Z6 = fc.make_group([6])
+Z2xZ3 = fc.make_group([2, 3])
 
 # lowest disconnected locus for Z3 under quadric moves, frozen after the
 # generative-edge oracle confirmed the disconnection
@@ -635,9 +640,15 @@ def _member_level_report(group, n, d_max, m):
     "group,n,d_max,m",
     [(Z2, 6, 4, 2), (Z2, 5, 5, 3), (Z3, 3, 4, 2), (Z3, 4, 4, 2), (Z3, 4, 4, 3),
      (Z2xZ2, 3, 5, 2), (Z2xZ2, 4, 4, 3), (Z4, 3, 4, 2), (Z2xZ2, 3, 4, 3),
-     (Z4, 3, 4, 3)],
+     (Z4, 3, 4, 3),
+     # one for each kind of shard symmetry: automorphisms alone (n = 1), a
+     # shift of row 1 tied to row 0's (n = 2), no automorphism but the
+     # identity (a product group), and four automorphisms
+     (Z5, 1, 4, 2), (Z3, 2, 4, 2), (Z6, 2, 4, 2), (Z2xZ3, 2, 4, 2), (Z5, 3, 4, 2),
+     (Z5, 3, 4, 3)],
     ids=["z2-n6-m2", "z2-n5-m3", "z3-n3-m2", "z3-n4-m2", "z3-n4-m3", "z2x2-n3-m2",
-         "z2x2-n4-m3", "z4-n3-m2", "z2x2-n3-m3", "z4-n3-m3"],
+         "z2x2-n4-m3", "z4-n3-m2", "z2x2-n3-m3", "z4-n3-m3", "z5-n1-m2", "z3-n2-m2",
+         "z6-n2-m2", "z2x3-n2-m2", "z5-n3-m2", "z5-n3-m3"],
 )
 def test_sweep_matches_the_member_level_oracle(group, n, d_max, m):
     every = _member_level_report(group, n, d_max, m)
@@ -689,6 +700,14 @@ class _Shard(dict):
     """A shard that can be weakly referenced, to see when it is freed."""
 
 
+class _Builds(dict):
+    """Per degree, the shards built; ``log`` is every build, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.log: list[tuple[int, int]] = []
+
+
 def _key_classes(group, n, d_max):
     """The flow keys, the shard scale and each degree's shard ids, rebuilt
     here from the flows: a shard id is a key's row-0 and row-1 digits."""
@@ -702,25 +721,134 @@ def _key_classes(group, n, d_max):
     return codes, scale, classes, ids
 
 
+def _shard_group(group, n, base):
+    """Every element of the shard group, built here from the flow actions:
+    one automorphism on every index (the identity alone for a product
+    group), a shift by the flow (t0, t1, 0, ..., 0, -t0-t1) ((t0, -t0) for
+    n = 2, none for n = 1), and a swap of indices 0 and 1 or none.  Each
+    element is the move of signature digits it makes: (index, code) to
+    (index, code), for every digit that some flow sets."""
+    q = group.order
+    try:
+        autos = fc.automorphisms(group)
+    except fc.UnsupportedGroupError:
+        autos = [tuple(range(q))]
+    if n == 1:
+        shifts = [(0,)]
+    elif n == 2:
+        shifts = [(t, fc.neg(group, t)) for t in range(q)]
+    else:
+        shifts = [
+            (t0, t1) + (0,) * (n - 3) + (fc.neg(group, fc.add(group, t0, t1)),)
+            for t0 in range(q) for t1 in range(q)
+        ]
+    orders = [tuple(range(n))] + ([(1, 0) + tuple(range(2, n))] if n > 1 else [])
+    flows = fc.enumerate_flows(group, n)
+    moves = []
+    for pi in autos:
+        for t in shifts:
+            shift = fc.make_flow(group, t)
+            for sigma in orders:
+                where = {}
+                for f in flows:
+                    image = fc.permute(fc.translate(fc.automorph(f, pi), shift), sigma)
+                    for i, v in enumerate(f.values):
+                        target = (sigma[i], image.values[sigma[i]])
+                        # the flow actions move each digit on its own
+                        assert where.setdefault((i, v), target) == target
+                moves.append(where)
+    return moves
+
+
+def _row_image(where, i, value, q, base):
+    """Row ``i`` of a signature, its counts read as ``q`` base-``base``
+    digits, code 0 most significant, under ``where``: the row it moves to
+    and its value there.  A row of zeros stays where it is."""
+    out, target = 0, i
+    for v in range(q - 1, -1, -1):
+        value, c = divmod(value, base)
+        if c:
+            target, w = where[i, v]
+            out += c * base ** (q - 1 - w)
+    return target, out
+
+
+def _placed_rows(where, rows, n, q, base):
+    """Each (row, value) of ``rows`` under ``where``, as what it adds to a
+    key of ``n`` rows: its new value at its new row."""
+    placed = {}
+    for i, value in rows:
+        j, w = _row_image(where, i, value, q, base)
+        placed[i, value] = w * base ** (q * (n - 1 - j))
+    return placed
+
+
+def _orbit_reps(group, n, d_max):
+    """Per degree, each shard id of K[d] with the least id of its orbit
+    under :func:`_shard_group`."""
+    _, scale, _, ids = _key_classes(group, n, d_max)
+    q, base = group.order, d_max + 1
+    moves = _shard_group(group, n, base)
+    out = []
+    for level in ids:
+        rows = {h: list(enumerate((h,) if n == 1 else divmod(h, base**q))) for h in sorted(level)}
+        reps = dict.fromkeys(rows, float("inf"))
+        for where in moves:
+            placed = _placed_rows(where, {r for h in rows for r in rows[h]}, n, q, base)
+            for h, r in rows.items():
+                reps[h] = min(reps[h], sum(placed[x] for x in r) // scale)
+        out.append(reps)
+    return out
+
+
+def _check_unbuilt_shards_are_images_of_built_reps(degrees, reps, ids, degree_range):
+    for d in degree_range:
+        built = {h for h, _, _ in degrees.get(d, ())}
+        for h in ids[d] - built:
+            assert reps[d][h] != h and reps[d][h] in built, (d, h)
+
+
+def _check_lifetimes(degrees, classes):
+    """A kept shard lives from its build until the last shard one degree up
+    that reads it is built: check each build's record of the live shards
+    of its degree and of the degree below against that rule."""
+    at = {build: i for i, build in enumerate(degrees.log)}
+    assert len(at) == len(degrees.log)  # each shard is built once
+    last: dict[tuple[int, int], int] = {}
+    for (d, h), i in at.items():
+        for g in classes:
+            if (d - 1, h - g) in at:
+                last[d - 1, h - g] = max(last.get((d - 1, h - g), -1), i)
+
+    def alive(d, i):
+        return {h for (e, h), j in at.items() if e == d and j < i <= last.get((e, h), -1)}
+
+    for d, builds in degrees.items():
+        for shard_id, same, lower in builds:
+            i = at[d, shard_id]
+            assert same == alive(d, i)
+            assert lower == alive(d - 1, i)
+
+
 def _recording_shards(monkeypatch):
     """Wrap the shard builder.  Returns, per degree, one entry for each
-    shard it built, in build order: the shard's id, how many earlier shards
-    of that degree were still alive once it was built, and the ids of the
+    shard it built, in build order: the shard's id, the ids of the earlier
+    shards of that degree still alive once it was built, and the ids of the
     shards one degree down that were alive then."""
     original = certify_module._KeySet.build
     refs: dict[int, dict[int, weakref.ref]] = {}
-    degrees: dict[int, list[tuple[int, int, set[int]]]] = {}
+    degrees = _Builds()
+
+    def live(d):
+        return {s for s, ref in refs.get(d, {}).items() if ref() is not None}
 
     def recording(self, shard_id):
         shard = _Shard(original(self, shard_id))
-        mine = refs.setdefault(self.degree, {})
-        lower = refs.get(self.degree - 1, {})
-        degrees.setdefault(self.degree, []).append((
-            shard_id,
-            sum(ref() is not None for ref in mine.values()),
-            {s for s, ref in lower.items() if ref() is not None},
-        ))
-        mine[shard_id] = weakref.ref(shard)
+        degrees.setdefault(self.degree, []).append(
+            (shard_id, live(self.degree), live(self.degree - 1))
+        )
+        degrees.log.append((self.degree, shard_id))
+        refs.setdefault(self.degree, {})[shard_id] = weakref.ref(shard)
         return shard
 
     monkeypatch.setattr(certify_module._KeySet, "build", recording)
@@ -745,22 +873,36 @@ def test_shards_concatenate_to_the_sorted_key_set(monkeypatch, factors, n):
     monkeypatch.setattr(certify_module._KeySet, "build", recording)
     report = fc.certify_degree(group, n, d_max, d_max)
     # the full build each degree replaced: every flow added to every key below
-    codes, scale, _, _ = _key_classes(group, n, d_max)
+    codes, scale, _, ids = _key_classes(group, n, d_max)
+    reps = _orbit_reps(group, n, d_max)
     keys = {0}
     assert sorted(built) == list(range(1, d_max + 1))
     for d in range(1, d_max + 1):
         below, keys = keys, {k + c for k in keys for c in codes}
-        shards = built[d]
-        assert [k for _, masks in shards for k in sorted(masks)] == sorted(keys)
-        # a shard is the keys of one count at rows 0 and 1, built once
-        assert all(k // scale == shard_id for shard_id, masks in shards for k in masks)
-        assert len({shard_id for shard_id, _ in shards}) == len(shards)
+        shards = dict(built[d])
+        # a shard is the keys of one count at rows 0 and 1, built once;
+        # in ascending order of their ids, the shards built are sorted
+        # and hold every key of their ids
+        assert len(shards) == len(built[d])
+        assert all(k // scale == shard_id for shard_id, masks in shards.items() for k in masks)
+        assert [k for h in sorted(shards) for k in sorted(shards[h])] == sorted(
+            k for k in keys if k // scale in shards
+        )
+        # the reps are built in key order; every other shard, when it is
+        # not built, is the image of a built rep
+        decided = [h for h, _ in built[d] if reps[d][h] == h]
+        assert decided == sorted(decided)
+        assert {k // scale for k in keys} == ids[d]
+        for h in ids[d] - shards.keys():
+            assert reps[d][h] != h and reps[d][h] in shards
         # bit i of a key's mask: the key less flow i is a key one degree down
-        for _, masks in shards:
+        for masks in shards.values():
             for b, mask in masks.items():
                 assert mask == sum(1 << i for i, c in enumerate(codes) if b - c in below)
         if d >= 2:
-            assert report.per_degree[d - 2].fiber_count == len(keys)
+            stats = report.per_degree[d - 2]
+            assert stats.fiber_count == len(keys)
+            assert stats.decided_count == sum(len(shards[h]) for h in decided)
 
 
 def test_witness_search_builds_only_the_shards_its_verdicts_read(monkeypatch):
@@ -779,11 +921,22 @@ def test_witness_search_builds_only_the_shards_its_verdicts_read(monkeypatch):
     assert {d: {h for h, _, _ in built} for d, built in degrees.items()} == read
     assert all(len(built) == len(read[d]) for d, built in degrees.items())
     assert [len(read[d]) for d in (1, 2, 3, 4)] == [2, 3, 3, 3]
-    # the full sweep builds every shard of every degree
+    # the full sweep builds each rep, the least shard of its orbit, of
+    # every degree from 2 up, and, degree by degree down, the shards that
+    # the shards it builds read; every other shard is the image of a rep
     degrees.clear()
+    degrees.log.clear()
     fc.certify_degree(Z2xZ2, 4, 4, 3)
-    assert [len(degrees[d]) for d in (1, 2, 3, 4)] == [16, 100, 400, 1225]
+    reps = _orbit_reps(Z2xZ2, 4, 4)
+    want = {4: {h for h, rep in reps[4].items() if h == rep}}
+    for d in (3, 2, 1):
+        want[d] = {h - g for h in want[d + 1] for g in classes} & ids[d]
+        want[d] |= {h for h, rep in reps[d].items() if h == rep and d >= 2}
+    assert {d: {h for h, _, _ in built} for d, built in degrees.items()} == want
+    assert all(len(built) == len(want[d]) for d, built in degrees.items())
+    assert [len(want[d]) for d in (1, 2, 3, 4)] == [16, 72, 105, 66]
     assert [len(ids[d]) for d in (1, 2, 3, 4)] == [16, 100, 400, 1225]
+    _check_unbuilt_shards_are_images_of_built_reps(degrees, reps, ids, range(1, 5))
 
 
 @pytest.mark.parametrize("group,n,m", [(Z2, 6, 2), (Z3, 4, 3)], ids=["z2-n6", "z3-n4"])
@@ -791,16 +944,18 @@ def test_certify_holds_one_shard_of_its_last_degree(monkeypatch, group, n, m):
     degrees = _recording_shards(monkeypatch)
     assert fc.certify_degree(group, n, 4, m).verdict == "verified"
     _, _, classes, ids = _key_classes(group, n, 4)
-    # degree 3 is kept whole for degree 4; each shard of degree 4 is freed
-    # before the next one is built
-    assert [alive for _, alive, _ in degrees[3]] == list(range(len(ids[3])))
-    assert len(degrees[4]) == len(ids[4]) > 1
+    reps = _orbit_reps(group, n, 4)
+    # degree 4 builds its reps alone, in key order, and frees each before
+    # the next one is built
+    assert [h for h, _, _ in degrees[4]] == [h for h, rep in reps[4].items() if h == rep]
+    assert len(degrees[4]) > 1
     assert not any(alive for _, alive, _ in degrees[4])
-    # a shard one degree down lives until the last shard that reads it,
-    # its id plus the largest class, is built
-    for d in (3, 4):
-        for shard_id, _, lower in degrees[d]:
-            assert lower == {s for s in ids[d - 1] if s + max(classes) >= shard_id}
+    # degree 3 keeps each shard that a shard of degree 4 reads until the
+    # last of those is built, and a shard one degree down lives until the
+    # last shard that reads it is built
+    assert any(alive for _, alive, _ in degrees[3])
+    _check_lifetimes(degrees, classes)
+    _check_unbuilt_shards_are_images_of_built_reps(degrees, reps, ids, range(1, 5))
 
 
 def test_a_failing_degree_keeps_none_of_its_shards_from_its_first_witness(monkeypatch):
@@ -810,7 +965,106 @@ def test_a_failing_degree_keeps_none_of_its_shards_from_its_first_witness(monkey
     # degree 4 is not the last, so its shards are kept until the first
     # disconnected fiber, which is in the third shard; no later degree
     # reads them, so from then on none is kept
-    alive = [alive for _, alive, _ in degrees[4]]
+    alive = [len(alive) for _, alive, _ in degrees[4]]
     assert alive[:3] == [0, 1, 2]
-    assert len(alive) == 1225 and not any(alive[3:])
+    _, _, _, ids = _key_classes(Z2xZ2, 4, 5)
+    reps = _orbit_reps(Z2xZ2, 4, 5)
+    # degree 4 builds its reps alone: no shard of degree 5 reads it
+    assert [h for h, _, _ in degrees[4]] == [h for h, rep in reps[4].items() if h == rep]
+    assert not any(alive[3:])
     assert 5 not in degrees
+    _check_unbuilt_shards_are_images_of_built_reps(degrees, reps, ids, [4])
+
+
+def _flow_components(b, full, below, codes):
+    """The components of fiber b's flows, the bits of ``full``, f joined
+    to g when g is in the mask of b - f: b - f - g is two degrees down."""
+    count, left = 0, full
+    while left:
+        count += 1
+        reached = todo = left & -left
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            grow = below[b - codes[low.bit_length() - 1]] & ~reached
+            reached |= grow
+            todo |= grow
+        left &= ~reached
+    return count
+
+
+@pytest.mark.parametrize(
+    "factors,n",
+    [([2], n) for n in range(1, 7)] + [([3], n) for n in range(1, 5)]
+    + [([2, 2], n) for n in range(1, 5)] + [([4], 3), ([5], 3)]
+    + [([2, 3], n) for n in (1, 2)] + [([6], n) for n in (1, 2)],
+)
+def test_the_shard_group_keeps_key_sets_and_verdicts(factors, n):
+    group, d_max = fc.make_group(factors), 4
+    q, base = group.order, d_max + 1
+    codes, scale, _, _ = _key_classes(group, n, d_max)
+    width = base**q
+    moves = _shard_group(group, n, base)
+    # rows 0 and 1, a shard's id, stay among themselves
+    for where in moves:
+        assert all((i < 2) == (j < 2) for (i, _), (j, _) in where.items())
+    reports = [fc.certify_degree(group, n, d_max, m) for m in (2, d_max)]
+    masks = {0: 0}
+    for d in range(1, d_max + 1):
+        below, masks = masks, {}
+        for k in below:
+            for i, c in enumerate(codes):
+                masks[k + c] = masks.get(k + c, 0) | 1 << i
+        parts = {b: _flow_components(b, masks[b], below, codes) for b in masks}
+        values = list(parts.values())
+        # each key as its shard (rows 0 and 1) and the rest of its rows
+        heads, tails = zip(*(divmod(b, scale) for b in masks))
+        shard_ids, rests = sorted(set(heads)), sorted(set(tails))
+
+        def columns(numbers, first, count):
+            # per row, the (row, value) of each number
+            rows = []
+            for number in numbers:
+                values_of = []
+                for _ in range(count):
+                    number, value = divmod(number, width)
+                    values_of.append(value)
+                rows.append(list(enumerate(reversed(values_of), first)))
+            return list(zip(*rows))
+
+        head_columns = columns(shard_ids, 0, min(n, 2))
+        tail_columns = columns(rests, 2, max(n - 2, 0))
+        every_row = {r for column in (*head_columns, *tail_columns) for r in column}
+        reps = [float("inf")] * len(shard_ids)
+        for where in moves:
+            placed = _placed_rows(where, every_row, n, q, base)
+
+            def image(numbers, columns):
+                out = [0] * len(numbers)
+                for column in columns:
+                    out = list(map(add, out, map(placed.get, column)))
+                return dict(zip(numbers, out))
+
+            head, tail = image(shard_ids, head_columns), image(rests, tail_columns)
+            # one to one on shards and on the rest of the rows, so on keys
+            assert len(set(head.values())) == len(head)
+            assert len(set(tail.values())) == len(tail)
+            # K[d] into K[d], so onto it, each fiber's flows to as many
+            # components: the verdict under the flow criterion is kept
+            images = map(add, map(head.get, heads), map(tail.get, tails))
+            assert list(map(parts.get, images)) == values
+            reps = [min(r, head[h] // scale) for r, h in zip(reps, shard_ids)]
+        reps = dict(zip(shard_ids, reps))
+        if d < 2:
+            continue
+        # the sweep decides the rep shards and covers the others: their
+        # sizes sum to |K[d]|
+        sizes = Counter(heads)
+        decided = sum(size for h, size in sizes.items() if reps[h] == h)
+        for report in reports:
+            if len(report.per_degree) >= d - 1:
+                stats = report.per_degree[d - 2]
+                assert stats.fiber_count == len(masks)
+                assert (stats.decided_count, stats.covered_count) == (
+                    decided, len(masks) - decided
+                )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -151,6 +152,23 @@ def test_certify_verified(capsys):
     assert "verified up to degree 4 for n=3" in data["statement"]
     assert "elapsed_ms" not in data
     assert "elapsed" in err
+
+
+def test_certify_reports_fibers_decided_and_covered_by_symmetry(capsys):
+    code, out, err = run(capsys, "certify", "--group", "2", "--n", "6",
+                         "--dmax", "4", "--m", "2")
+    assert code == EXIT_OK
+    # 333 + 1856 + 7109 fibers: the rep shards are decided, the rest covered
+    elapsed = err.splitlines()[-1]
+    assert re.fullmatch(
+        r"elapsed: \d+ ms, fibers decided 2190, covered by symmetry 7108", elapsed
+    )
+    assert err.splitlines()[:-1] == [
+        "degree 2: 333 fibers, 528 multisets, 0 disconnected",
+        "degree 3: 1856 fibers, 5984 multisets, 0 disconnected",
+        "degree 4: 7109 fibers, 52360 multisets, 0 disconnected",
+    ]
+    assert "decided" not in out and "covered" not in out
 
 
 def test_certify_witness_found(capsys):

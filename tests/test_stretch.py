@@ -2,9 +2,10 @@
 
 Run with ``FLOWCERT_STRETCH=1 pytest tests/test_stretch.py -v -s``.  Each
 sweep runs in a child interpreter and its peak RSS is bounded: the sweep
-holds the flow masks of the degree below its last one, freeing each shard
-of it once the last shard that reads it is checked, and a single shard of
-the last degree.  The child reads its peak as ``VmHWM`` from
+builds only the least shard of each symmetry orbit and the shards those
+read, holds those of the degree below its last one, freeing each once the
+last shard that reads it is checked, and a single shard of the last
+degree.  The child reads its peak as ``VmHWM`` from
 ``/proc/self/status`` (Linux only).  ``getrusage``'s ``ru_maxrss`` would
 not do: Linux carries the spawning process's peak across ``exec``, so
 under pytest it reads at least pytest's own peak.
@@ -47,12 +48,12 @@ print(json.dumps({
 @pytest.mark.parametrize(
     "factors,n,d_max,m,fibers,peak_mib",
     [
-        # peak RSS on 2-core x86-64, CPython 3.11: 21 MiB (24 MiB with
-        # row-0 shards of key sets, 39 MiB when the last degree was built
-        # whole)
+        # peak RSS on 2-core x86-64, CPython 3.11: 18 MiB (21 MiB when
+        # every shard was built, 24 MiB with row-0 shards of key sets,
+        # 39 MiB when the last degree was built whole)
         ([2], 8, 4, 2, [3153, 31744, 190577], 32),
-        # 42 MiB (44 MiB with row-0 shards of key sets, 136 MiB when the
-        # last degree was built whole)
+        # 18 MiB (42 MiB when every shard was built, 44 MiB with row-0
+        # shards of key sets, 136 MiB when the last degree was built whole)
         ([3], 5, 5, 3, [2187, 27907, 215703, 1181547], 80),
     ],
     ids=["z2-n8-d4-m2", "z3-n5-d5-m3"],
