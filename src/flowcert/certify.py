@@ -11,15 +11,16 @@ signature one degree below, and a search over the bits of a fiber's mask
 reads the masks of that degree.  Flow symmetries that map key shards onto
 shards and keep every verdict let the sweep decide only the least shard
 of each orbit and carry its counts and witnesses to the others.  Members
-are built for witnesses and for the degrees after that one.  A report
-never claims more than the range it actually swept.
+are built for witnesses and for the fibers past that degree, which only
+``find_all`` reaches.  A report never claims more than the range it
+actually swept.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 from itertools import combinations
 from typing import Callable, Generator, Iterable, Iterator, Optional
@@ -38,7 +39,7 @@ from .fibers import (
     FlowMultiset,
     check_fiber,
     compatible,
-    enumerate_all_fibers,
+    enumerate_all_fibers,  # unused here; bench/tracing.py wraps certify.enumerate_all_fibers
     enumerate_fiber,
     flow_keys,
     key_signature,
@@ -268,12 +269,11 @@ def _fiber_verdict(
 ) -> tuple[ColumnSignature, int, Optional[tuple[FlowMultiset, FlowMultiset]]]:
     """The sweep's check of one fiber: (signature, size, witness pair or None).
 
-    Takes fibers as :func:`enumerate_all_fibers` yields them and checks
-    nothing again: every member was built to have the signature it is
-    bucketed under, and members come in ascending key order.  The first
-    two components decide connectivity, and their roots are the lowest
-    member of each of the two lowest components, as
-    :func:`fiber_connected_under` would order them.
+    Takes fibers as :func:`enumerate_fiber` builds them and checks nothing
+    again: every member was built to have the fiber's signature, and
+    members come in ascending key order.  The first two components decide
+    connectivity, and their roots are the lowest member of each of the two
+    lowest components, as :func:`fiber_connected_under` would order them.
     """
     sig, fiber = item
     comps = _SubmultisetIndex(fiber, m).components()
@@ -295,23 +295,13 @@ def _check_sweep(n: int, d_max: int, m: int, sweep_cap: int) -> tuple[int, int, 
     return strict_int(n, ShapeError, "n"), d_max, m, sweep_cap
 
 
-def _member_verdicts(
-    group: Group, n: int, d: int, m: int, sweep_cap: int, tally: _Tally
-) -> Iterator[Callable[[], Witness]]:
-    for item in enumerate_all_fibers(group, n, d, cap=sweep_cap):
-        tally.decided += 1
-        sig, _, pair = _fiber_verdict(item, m)
-        if pair is not None:
-            yield partial(Witness, d, sig, *pair)
-
-
 def _signature_witness(
     group: Group, n: int, d: int, sig: ColumnSignature, m: int, sweep_cap: int
-) -> Witness:
-    """The witness of a fiber known to be disconnected: its members are
-    built as the member-level sweep builds them, so the pair is the same."""
-    members = enumerate_fiber(sig, group, n, cap=sweep_cap)
-    return Witness(d, sig, *_fiber_verdict((sig, members), m)[2])
+) -> Optional[Witness]:
+    """The witness of the fiber ``sig``, or None if it is connected, from
+    its members and their components."""
+    pair = _fiber_verdict((sig, enumerate_fiber(sig, group, n, cap=sweep_cap)), m)[2]
+    return None if pair is None else Witness(d, sig, *pair)
 
 
 class _KeySet:
@@ -535,31 +525,29 @@ class _ShardOrbits:
             for swap in ((False, True) if n > 1 else (False,))
         ]
 
-    def apply(self, element, counts: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-        """The rows ``counts`` (all n of a signature, or the leading ones)
-        under ``element``."""
+    def image(self, element, key: int) -> int:
+        """The key ``key`` of n rows under ``element``."""
         swap, perms = element
-        rows = [_permuted(row, perm) for row, perm in zip(counts, perms)]
+        rows = []
+        for _ in range(self.n):
+            key, row = divmod(key, self.width)
+            rows.append(row)
+        rows = [self.move(row, perm) for row, perm in zip(reversed(rows), perms)]
         if swap:
             rows[0], rows[1] = rows[1], rows[0]
-        return tuple(rows)
+        out = 0
+        for row in rows:
+            out = out * self.width + row
+        return out
 
-    def carrier(self, rep: int, shard_id: int):
-        """An element that maps shard ``rep`` onto shard ``shard_id``."""
-        split = (lambda i: [i]) if self.n == 1 else (lambda i: list(divmod(i, self.width)))
-        source, target = split(rep), split(shard_id)
-        for swap, perms in self.elements:
-            rows = [self.move(r, perm) for r, perm in zip(source, perms)]
-            if (rows[::-1] if swap else rows) == target:
-                return swap, perms
-
-
-def _permuted(counts: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    """A row of counts whose column v is moved to column perm[v]."""
-    out = [0] * len(counts)
-    for v, c in enumerate(counts):
-        out[perm[v]] = c
-    return tuple(out)
+    def carriers(self, rep: int) -> dict[int, tuple]:
+        """Per shard id of the orbit of shard ``rep``, an element that maps
+        shard ``rep`` onto it."""
+        scale = self.width ** max(self.n - 2, 0)
+        table: dict[int, tuple] = {}
+        for element in self.elements:
+            table.setdefault(self.image(element, rep * scale) // scale, element)
+        return table
 
 
 @dataclass
@@ -572,12 +560,13 @@ class _Tally:
 
 
 def _degree_verdicts(
-    group: Group, n: int, d_max: int, m: int, sweep_cap: int
+    group: Group, n: int, d_max: int, m: int, sweep_cap: int, find_all: bool
 ) -> Iterator[tuple[int, int, _Tally, Iterator[Callable[[], Witness]]]]:
     """For each degree d in [2, d_max], ``(d, multiset count, tally,
     witnesses)``, where the witnesses are one function per disconnected
-    fiber, in ascending key order, that builds its :class:`Witness`.  Once
-    the witnesses are drawn, the tally counts the fibers of the degree.
+    fiber, in ascending key order, that builds its :class:`Witness`.  They
+    are drawn in full, or not at all if d <= m, before the next degree is
+    asked for; once drawn, the tally counts the fibers of the degree.
 
     Arguments come from :func:`_check_sweep`.  Each degree is sized
     against ``sweep_cap`` before any of it is built.
@@ -592,51 +581,46 @@ def _degree_verdicts(
     when g is in S(b - f).  S(b - f) is a subset of S(b), so a search over
     the bits of S(b) decides fiber b, one probe of K[d - 1] per flow it
     reaches.  Fibers of degree <= m are connected, so this premise holds up
-    to and including the first degree with a disconnected fiber.  The
-    degrees after it, which only ``find_all`` reaches, bucket their members
-    instead.
+    to and including the first degree with a disconnected fiber.  Past it,
+    a fiber's members are built by :func:`enumerate_fiber` and their
+    components decide it.
 
     Each K[d] is a :class:`_KeySet`.  The symmetries of
     :class:`_ShardOrbits` map shards onto shards and keep every verdict,
     so only the rep of each orbit, its least shard, is built and decided.
     Every other shard comes after its rep in key order and takes the rep's
     fiber count; the rep's disconnected keys, carried over by one element
-    and sorted, are its disconnected keys.  Shards are built as the
-    verdicts ask for them, or as a shard of K[d + 1] reads them, so a
-    caller that skips the verdicts of a degree <= m builds only the shards
-    that the verdicts it does consume read.  A shard of K[d - 1] is freed
-    once the last shard of K[d] that reads it and that the sweep builds is
-    built, and deciding a shard holds its sources until its last fiber.
-    The sweep keeps K[d] for the next degree, unless d is d_max or one of
-    its fibers is disconnected.
+    and sorted, are its disconnected keys.  An element is a bijection of
+    the flows, so this holds past the first failing degree too.  Shards
+    are built as the verdicts ask for them, or as a shard of K[d + 1]
+    reads them, so a caller that skips the verdicts of a degree <= m builds
+    only the shards that the verdicts it does consume read.  A shard of
+    K[d - 1] is freed once the last shard of K[d] that reads it and that
+    the sweep builds is built, and deciding a shard holds its sources until
+    its last fiber.  The sweep keeps K[d] for the next degree, unless d is
+    d_max or, without ``find_all``, one of its fibers is disconnected.
     """
     base = d_max + 1
-    failed = False
+    failed = 0  # the first degree with a disconnected fiber
 
     def verdicts(keys: _KeySet, tally: _Tally) -> Iterator[Callable[[], Witness]]:
-        done: dict[int, tuple[int, list[int]]] = {}
+        # per rep: fibers, disconnected keys and, if any, its carriers
+        done: dict[int, tuple[int, list[int], Optional[dict[int, tuple]]]] = {}
         reps = shards.reps[keys.degree]
         for shard_id in shards.ids(keys.degree):
             if shard_id in reps:
                 # one generator per shard: its frame, which holds the shard
                 # and its sources, is gone before the next shard is built
-                done[shard_id] = yield from decide(keys, shard_id, tally)
+                fibers, bad = yield from decide(keys, shard_id, tally)
+                done[shard_id] = fibers, bad, shards.carriers(shard_id) if bad else None
                 continue
-            rep = shards.rep(shard_id)
-            fibers, bad = done[rep]
+            fibers, bad, carriers = done[shards.rep(shard_id)]
             tally.covered += fibers
             if bad:
-                element = shards.carrier(rep, shard_id)
-                images = (
-                    ColumnSignature(
-                        shards.apply(element, key_signature(b, n, group.order, base).counts)
-                    )
-                    for b in bad
-                )
-                for sig in sorted(images, key=ColumnSignature.flat):
-                    yield partial(
-                        _signature_witness, group, n, keys.degree, sig, m, sweep_cap
-                    )
+                element = carriers[shard_id]
+                for image in sorted(shards.image(element, b) for b in bad):
+                    sig = key_signature(image, n, group.order, base)
+                    yield partial(_signature_witness, group, n, keys.degree, sig, m, sweep_cap)
 
     def decide(
         keys: _KeySet, shard_id: int, tally: _Tally
@@ -650,27 +634,36 @@ def _degree_verdicts(
             return len(masks), bad
         # flow i's neighbours in fiber b are the mask of b - codes[i]
         below = [sources.get(h) for h in class_of]
+        exact = failed in (0, keys.degree)  # every degree below is connected
         for b in sorted(masks):
-            full = masks[b]
-            reached = todo = full & -full
-            while todo and reached != full:
-                low = todo & -todo
-                todo ^= low
-                i = low.bit_length() - 1
-                grow = below[i][b - codes[i]] & ~reached
-                reached |= grow
-                todo |= grow
-            if reached == full:
-                continue
+            if exact:
+                full = masks[b]
+                reached = todo = full & -full
+                while todo and reached != full:
+                    low = todo & -todo
+                    todo ^= low
+                    i = low.bit_length() - 1
+                    grow = below[i][b - codes[i]] & ~reached
+                    reached |= grow
+                    todo |= grow
+                if reached == full:
+                    continue
+            sig = key_signature(b, n, group.order, base)
+            witness = partial(_signature_witness, group, n, keys.degree, sig, m, sweep_cap)
+            if not exact:
+                found = witness()
+                if found is None:
+                    continue
+                witness = partial(replace, found)
             bad.append(b)
             if not failed:
-                failed = True
-                # no later degree reads K[d]
-                keys.keep = False
-                keys.kept.clear()
-                keys.readers.clear()
-            sig = key_signature(b, n, group.order, base)
-            yield partial(_signature_witness, group, n, keys.degree, sig, m, sweep_cap)
+                failed = keys.degree
+                if not find_all:
+                    # no later degree reads K[d]
+                    keys.keep = False
+                    keys.kept.clear()
+                    keys.readers.clear()
+            yield witness
         return len(masks), bad
 
     for d in range(2, d_max + 1):
@@ -680,11 +673,6 @@ def _degree_verdicts(
             raise CapacityError(
                 f"degree {d} of the sweep: {exc}", required=exc.required, cap=exc.cap
             ) from exc
-        tally = _Tally()
-        if failed:
-            keys = None  # free the key sets
-            yield d, total, tally, _member_verdicts(group, n, d, m, sweep_cap, tally)
-            continue
         if d == 2:
             codes = flow_keys(enumerate_flows(group, n), base)
             scale = base ** (max(n - 2, 0) * group.order)
@@ -695,6 +683,7 @@ def _degree_verdicts(
             shards = _ShardOrbits(group, n, d_max)
             keys = _KeySet(_KeySet(None, classes, shards, True), classes, shards, True)
         keys = _KeySet(keys, classes, shards, d < d_max)
+        tally = _Tally()
         yield d, total, tally, verdicts(keys, tally)
 
 
@@ -714,10 +703,10 @@ def certify_degree(
     By default the sweep stops after the first degree that produced a
     witness and reports only the first one in (degree, fiber key) order;
     ``find_all=True`` sweeps the full range and keeps every witness.
-    Up to and including the first failing degree, only the least shard of
-    each orbit of the shard symmetries is built and searched; every other
-    shard takes its fiber and disconnected counts, and its witnesses, from
-    that rep, so the report is the one a search of every fiber would give.
+    At every degree, only the least shard of each orbit of the shard
+    symmetries is built and searched; every other shard takes its fiber and
+    disconnected counts, and its witnesses, from that rep, so the report is
+    the one a search of every fiber would give.
     Each :class:`DegreeStats` counts the fibers decided and those covered.
     The sweep always runs in the calling thread, whatever ``threads`` says:
     the fiber checks are pure Python and hold the GIL, and a thread pool
@@ -729,7 +718,7 @@ def certify_degree(
     started = time.monotonic()
     per_degree: list[DegreeStats] = []
     witnesses: list[Witness] = []
-    for d, multisets, tally, found in _degree_verdicts(group, n, d_max, m, sweep_cap):
+    for d, multisets, tally, found in _degree_verdicts(group, n, d_max, m, sweep_cap, find_all):
         disconnected = 0
         for witness in found:
             disconnected += 1
@@ -841,7 +830,7 @@ def find_indispensable(
     degree; None only means the range [2, d_max] is clean.
     """
     n, d_max, m, sweep_cap = _check_sweep(n, d_max, m, sweep_cap)
-    for d, _, _, found in _degree_verdicts(group, n, d_max, m, sweep_cap):
+    for d, _, _, found in _degree_verdicts(group, n, d_max, m, sweep_cap, find_all=False):
         if d <= m:
             continue  # every fiber is connected; build none of its keys
         for witness in found:

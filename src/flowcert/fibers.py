@@ -169,12 +169,15 @@ def enumerate_fiber(
 
     Depth-first construction: flows are tried in canonical order with
     multiplicity, pruning on the per-index remaining counts, so emitted
-    multisets come out sorted without a post-pass.
+    multisets come out sorted without a post-pass.  Flows come in blocks of
+    one value at index 0 (for n = 1, the one flow), so each step tries only
+    the block of the least value that index 0 still needs.
     """
     n = strict_int(n, ShapeError, "n")
     cap = strict_int(cap, PreconditionError, "cap")
     degree = _check_signature(sig, group, n)
     flows = enumerate_flows(group, n)
+    block = len(flows) // group.order if n > 1 else 1
     remaining = [list(row) for row in sig.counts]
     chosen: list[int] = []
     found: list[tuple[int, ...]] = []
@@ -189,7 +192,8 @@ def enumerate_fiber(
                     cap=cap,
                 )
             return
-        for j in range(start, len(flows)):
+        least = next(v for v, c in enumerate(remaining[0]) if c)
+        for j in range(max(start, least * block), min((least + 1) * block, len(flows))):
             vals = flows[j].values
             if all(remaining[i][v] > 0 for i, v in enumerate(vals)):
                 for i, v in enumerate(vals):

@@ -645,10 +645,13 @@ def _member_level_report(group, n, d_max, m):
      # shift of row 1 tied to row 0's (n = 2), no automorphism but the
      # identity (a product group), and four automorphisms
      (Z5, 1, 4, 2), (Z3, 2, 4, 2), (Z6, 2, 4, 2), (Z2xZ3, 2, 4, 2), (Z5, 3, 4, 2),
-     (Z5, 3, 4, 3)],
+     (Z5, 3, 4, 3),
+     # two degrees past the first failing one
+     (Z3, 3, 5, 2), (Z4, 3, 5, 2), (Z2xZ2, 3, 6, 3)],
     ids=["z2-n6-m2", "z2-n5-m3", "z3-n3-m2", "z3-n4-m2", "z3-n4-m3", "z2x2-n3-m2",
          "z2x2-n4-m3", "z4-n3-m2", "z2x2-n3-m3", "z4-n3-m3", "z5-n1-m2", "z3-n2-m2",
-         "z6-n2-m2", "z2x3-n2-m2", "z5-n3-m2", "z5-n3-m3"],
+         "z6-n2-m2", "z2x3-n2-m2", "z5-n3-m2", "z5-n3-m3", "z3-n3-d5-m2", "z4-n3-d5-m2",
+         "z2x2-n3-d6-m3"],
 )
 def test_sweep_matches_the_member_level_oracle(group, n, d_max, m):
     every = _member_level_report(group, n, d_max, m)
@@ -673,27 +676,16 @@ def test_sweep_matches_the_member_level_oracle(group, n, d_max, m):
 @pytest.mark.parametrize("group,n", [(Z3, 3), (Z2, 6)], ids=["z3-n3", "z2-n6"])
 def test_sweep_decides_up_to_the_first_failing_degree_without_members(monkeypatch, group, n):
     def refuse(*args, **kwargs):
-        raise AssertionError("members bucketed before a degree failed")
+        raise AssertionError("a sweep bucketed multisets")
 
     expected = fc.certify_degree(group, n, 4, 2)
-    monkeypatch.setattr(certify_module, "enumerate_all_fibers", refuse)
+    every = fc.certify_degree(group, n, 4, 2, find_all=True)
+    monkeypatch.setattr("flowcert.fibers._iter_fibers", refuse)
     assert fc.certify_degree(group, n, 4, 2) == expected
+    # the degrees past the first failing one run on the key shards too
+    assert fc.certify_degree(group, n, 4, 2, find_all=True) == every
     witness = fc.find_indispensable(group, n, 2, d_max=4)
     assert witness == (expected.witnesses[0] if expected.witnesses else None)
-
-
-def test_find_all_buckets_only_the_degrees_after_the_first_failing_one(monkeypatch):
-    bucketed = []
-    original = certify_module.enumerate_all_fibers
-
-    def recording(group, n, d, **kwargs):
-        bucketed.append(d)
-        return original(group, n, d, **kwargs)
-
-    monkeypatch.setattr(certify_module, "enumerate_all_fibers", recording)
-    report = fc.certify_degree(Z3, 3, 4, 2, find_all=True)
-    assert [s.disconnected_count for s in report.per_degree] == [0, 1, 9]
-    assert bucketed == [4]
 
 
 class _Shard(dict):

@@ -25,6 +25,7 @@ Z2 = fc.make_group([2])
 Z3 = fc.make_group([3])
 Z2xZ2 = fc.make_group([2, 2])
 Z4 = fc.make_group([4])
+Z6 = fc.make_group([6])
 
 # Z2, n=6 walkthrough multisets
 M1_ROWS = [[1, 1, 1, 1, 1, 1], [0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 0, 0]]
@@ -224,11 +225,18 @@ def test_fiber_partition_covers_all_multisets(group, n_max, d_max):
             assert total == fc.multiset_count(group, n, d)
 
 
-@pytest.mark.parametrize("group,n,d_max", [(Z2, 4, 3), (Z3, 3, 4)], ids=["z2", "z3"])
-def test_partition_and_targeted_enumeration_agree(group, n, d_max):
-    for d in range(1, d_max + 1):
-        for sig, members in fc.enumerate_all_fibers(group, n, d):
-            assert fc.enumerate_fiber(sig, group, n) == members
+@pytest.mark.parametrize(
+    "group,d_maxes",
+    [(Z2, (4, 4, 4, 4)), (Z3, (4, 4, 4, 3)), (Z2xZ2, (4, 4, 3, 2)), (Z6, (4, 4, 3, 1))],
+    ids=["z2", "z3", "z2x2", "z6"],
+)
+def test_partition_and_targeted_enumeration_agree(group, d_maxes):
+    # n = 1 to 4: the one flow (0,), then blocks of 1, |G| and |G|^2 flows
+    # with one value at index 0, for a cyclic, a product and a composite group
+    for n, d_max in enumerate(d_maxes, 1):
+        for d in range(1, d_max + 1):
+            for sig, members in fc.enumerate_all_fibers(group, n, d):
+                assert fc.enumerate_fiber(sig, group, n) == members
 
 
 def test_partition_matches_brute_force_oracle():
