@@ -22,8 +22,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
-from itertools import combinations
-from typing import Callable, Generator, Iterable, Iterator, Optional
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import factorial, prod
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
     CapacityError,
@@ -307,7 +309,7 @@ def _signature_witness(
 class _KeySet:
     """K[d], the keys of one degree d, as shards built on demand.
 
-    A key's shard id is its row-0 and row-1 digits, ``key // scale``.
+    A key's shard id is the digits of its shard rows, ``key // scale``.
     Those are its most significant digits, so the shards, each sorted and
     taken in ascending order of their ids, are sorted K[d].  A shard maps
     each key b to its flow mask S(b), whose bit i is set when b minus the
@@ -379,21 +381,24 @@ class _ShardOrbits:
     """The shard ids of each K[d] up to d_max, their orbits under the flow
     symmetries that map shards onto shards, and the shards the sweep builds.
 
-    An element of the group relabels every row by one automorphism of G
-    (only the identity for a product group), shifts row 0 by t0, row 1 by
-    t1 and row n - 1 by -t0 - t1 (t1 = -t0 for n = 2; no shift for n = 1),
-    and may then swap rows 0 and 1.  Each is a bijection of the flows, so
-    it maps K[d] onto K[d] and S(b) onto S(g b), and keeps every verdict.
-    It moves rows 0 and 1 among themselves, so it maps shards onto shards.
-    The rep of an orbit is its least id.  The sweep builds the reps of
-    every degree from 2 up, and the shards one degree down that the shards
-    it builds read.
+    A shard id is the values of the shard rows, rows 0 to s - 1, row 0 the
+    most significant: s = 3 for n >= 5, s = 2 for n = 2 to 4 and s = 1 for
+    n = 1.  At n = 4 a third row would leave one free row, and shards too
+    small to pay for their builds.  An element of the group relabels every
+    row by one automorphism of G (only the identity for a product group),
+    shifts rows 0 to s - 1 by t0 to t(s-1) and row n - 1 by their negated
+    sum (for n = 2, row 1 by -t0; for n = 1, no shift), and may then
+    permute the shard rows.  Each is a bijection of the flows, so it maps
+    K[d] onto K[d] and S(b) onto S(g b), and keeps every verdict.  It moves
+    the shard rows among themselves, so it maps shards onto shards.  The
+    rep of an orbit is its least id.  The sweep builds the reps of every
+    degree from 2 up, and the shards one degree down that the shards it
+    builds read.
 
     A row of counts is handled as its value, its digits in base
-    d_max + 1, column 0 most significant.  A shard id is the values of
-    rows 0 and 1, row 0 the more significant; for n = 1, of row 0.  For
-    n >= 3 rows 0 and 1 of a key are any two rows of its degree; for
-    n = 2, row 1 is row 0 negated; for n = 1, the one flow is all zeros.
+    d_max + 1, column 0 most significant.  For n >= 3 the shard rows of a
+    key are any s rows of its degree; for n = 2, row 1 is row 0 negated;
+    for n = 1, the one flow is all zeros.
     """
 
     def __init__(self, group: Group, n: int, d_max: int):
@@ -401,6 +406,8 @@ class _ShardOrbits:
         self.add, self.negation = add_table(group), neg_table(group)
         self.autos = automorphisms(group) if len(group.factors) == 1 else [tuple(range(q))]
         self.n, self.q, self.base, self.width = n, q, base, base**q
+        self.head = 3 if n >= 5 else min(n, 2)  # s, the shard rows
+        self.scale = self.width ** (n - self.head)  # a key's shard id is key // scale
         self.d_max = d_max
         identity = tuple(range(q))
         shifts = [self.perm(identity, t) for t in (range(q) if n > 1 else (0,))]
@@ -410,9 +417,12 @@ class _ShardOrbits:
         self.rows: list[list[int]] = [[0]]
         self.lower: dict[int, list[int]] = {}
         # per row value, for each automorphism, the least value of the
-        # shifts of its image: the tables that rep tests read
+        # shifts of its image, and how many values its shifts take: the
+        # tables that rep tests and orbit sizes read
         self.lows: dict[int, tuple[int, ...]] = {}
-        self.reps: list[set[int]] = [set()]
+        self.spread: dict[int, int] = {}
+        # per degree, the reps, ascending
+        self.reps: list[list[int]] = [[]]
         for d in range(1, d_max + 1):
             below = set(self.rows[-1])
             rows = sorted({r + u for r in below for u in units})
@@ -423,48 +433,65 @@ class _ShardOrbits:
                 self.lower[r] = [r - u for u in units if r - u in below]
                 if r not in low:
                     least.append(r)
-                    low.update(dict.fromkeys((self.move(r, t) for t in shifts), r))
+                    orbit = {self.move(r, t) for t in shifts}
+                    low.update(dict.fromkeys(orbit, r))
+                    self.spread.update(dict.fromkeys(orbit, len(orbit)))
             # autos[0] is the identity
             for r in rows:
                 self.lows[r] = (low[r],) + tuple(low[self.move(r, phi)] for phi in self.autos[1:])
-            # a rep's rows are each the least of their shifts
+            # a rep's rows are each the least of their shifts, in ascending order
             if n == 1:
                 candidates = [d * units[0]]
             elif n == 2:
                 candidates = [self.paired(r) for r in least]
             else:
-                candidates = [a * self.width + b for i, a in enumerate(least) for b in least[i:]]
-            self.reps.append({s for s in candidates if d >= 2 and self.rep(s) == s})
+                candidates = map(self.join, combinations_with_replacement(least, self.head))
+            self.reps.append([s for s in candidates if d >= 2 and self.rep(s) == s])
         self.classes = list(self.ids(1))
         # per degree, the shards the sweep builds: the reps, and the
         # shards one degree down that the shards it builds read
         self.built: list[set[int]] = [set() for _ in self.rows]
         for d in range(d_max, 0, -1):
             above = self.built[d + 1] if d < d_max else ()
-            self.built[d] = self.reps[d] | {s for up in above for s in self.sources(up)}
+            self.built[d] = set(self.reps[d]).union(*map(self.sources, above))
+
+    def split(self, number: int, count: int) -> list[int]:
+        """The ``count`` rows of ``number``, row 0 first."""
+        rows = []
+        for _ in range(count):
+            number, row = divmod(number, self.width)
+            rows.append(row)
+        return rows[::-1]
+
+    def join(self, rows: Iterable[int]) -> int:
+        """The number whose rows are ``rows``, row 0 first."""
+        out = 0
+        for row in rows:
+            out = out * self.width + row
+        return out
 
     def paired(self, row: int) -> int:
         """For n = 2, the shard id whose row 0 is ``row``: row 1 is it
         negated."""
         return row * self.width + self.move(row, self.negation)
 
-    def ids(self, d: int) -> Iterable[int]:
+    def ids(self, d: int) -> list[int]:
         """The shard ids of K[d], ascending."""
-        rows, width = self.rows[d], self.width
+        rows = self.rows[d]
         if self.n == 1:
             return [d * self.base ** (self.q - 1)]
         if self.n == 2:
             return sorted(self.paired(r) for r in rows)
-        return (a * width + b for a in rows for b in rows)
+        return [self.join(head) for head in product(rows, repeat=self.head)]
 
     def sources(self, shard_id: int) -> list[int]:
         """The shard ids one degree down that shard ``shard_id`` reads."""
         if self.n == 1:
             return self.lower[shard_id]
-        a, b = divmod(shard_id, self.width)
         if self.n == 2:
-            return [self.paired(r) for r in self.lower[a]]
-        return [x * self.width + y for x in self.lower[a] for y in self.lower[b]]
+            return [self.paired(r) for r in self.lower[shard_id // self.width]]
+        lower = [self.lower[r] for r in self.split(shard_id, self.head)]
+        return [self.join(head) for head in product(*lower)]
 
     def perm(self, phi: tuple[int, ...], t: int) -> tuple[int, ...]:
         """The code permutation v -> phi(v) + t."""
@@ -481,19 +508,39 @@ class _ShardOrbits:
     def rep(self, shard_id: int) -> int:
         """The least id of the orbit of shard ``shard_id``.
 
-        Rows 0 and 1 shift independently for n >= 3, and the swap puts
-        either first, so the rep's rows are the smaller and the larger of
-        their least values, under the automorphism that gives the least id.
-        For n = 2 the rep's row 0 is the least value of either row.
+        For n >= 3 the shard rows shift independently, and a permutation
+        puts them in any order, so the rep's rows are their least values,
+        sorted, under the automorphism that gives the least id.  For n = 2
+        the rep's row 0 is the least value of either row.
         """
         if self.n == 1:
             return min(self.lows[shard_id])
-        width = self.width
-        r0, r1 = divmod(shard_id, width)
-        pairs = list(zip(self.lows[r0], self.lows[r1]))
         if self.n == 2:
-            return self.paired(min(min(pair) for pair in pairs))
-        return min(min(pair) * width + max(pair) for pair in pairs)
+            r0, r1 = divmod(shard_id, self.width)
+            return self.paired(min(map(min, self.lows[r0], self.lows[r1])))
+        lows = zip(*(self.lows[r] for r in self.split(shard_id, self.head)))
+        return min(self.join(sorted(head)) for head in lows)
+
+    def size(self, shard_id: int) -> int:
+        """How many shard ids the orbit of shard ``shard_id`` holds.
+
+        Each automorphism puts the shard rows in shift orbits, named by
+        their least values; two automorphisms that give the same multiset
+        of orbits reach the same ids, and otherwise none in common.  The
+        ids one of them reaches are every arrangement of its orbits over
+        the shard rows, with any value of each orbit in its row; orbits
+        that an automorphism maps onto each other have equal sizes.
+        """
+        if self.n == 1:
+            return 1
+        if self.n == 2:
+            r0, r1 = divmod(shard_id, self.width)
+            return len(set(self.lows[r0] + self.lows[r1])) * self.spread[r0]
+        rows = self.split(shard_id, self.head)
+        images = {tuple(sorted(head)) for head in zip(*(self.lows[r] for r in rows))}
+        repeats = Counter(self.lows[r][0] for r in rows).values()
+        arrangements = factorial(self.head) // prod(map(factorial, repeats))
+        return len(images) * arrangements * prod(self.spread[r] for r in rows)
 
     def readers(self, d: int, shard_id: int) -> int:
         """How many shards of K[d + 1] that the sweep builds read shard
@@ -504,46 +551,39 @@ class _ShardOrbits:
         return sum(shard_id + h in built for h in self.classes)
 
     @cached_property
-    def elements(self) -> list[tuple[bool, tuple[tuple[int, ...], ...]]]:
-        """Every element as (swap rows 0 and 1?, one code permutation per
-        row)."""
-        n, q, add, neg = self.n, self.q, self.add, self.negation
+    def elements(self) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+        """Every element as (the order of the shard rows, one code
+        permutation per row)."""
+        n, q, add, neg, head = self.n, self.q, self.add, self.negation, self.head
         if n == 1:
             shifts = [(0,)]
         elif n == 2:
             shifts = [(t, neg[t]) for t in range(q)]
         else:
-            shifts = [
-                (t0, t1) + (0,) * (n - 3) + (neg[add[t0][t1]],)
-                for t0 in range(q)
-                for t1 in range(q)
-            ]
+            shifts = []
+            for ts in product(range(q), repeat=head):
+                total = 0
+                for t in ts:
+                    total = add[total][t]
+                shifts.append(ts + (0,) * (n - head - 1) + (neg[total],))
         return [
-            (swap, tuple(self.perm(phi, t) for t in ts))
+            (order, tuple(self.perm(phi, t) for t in ts))
             for phi in self.autos
             for ts in shifts
-            for swap in ((False, True) if n > 1 else (False,))
+            for order in permutations(range(head))
         ]
 
     def image(self, element, key: int) -> int:
         """The key ``key`` of n rows under ``element``."""
-        swap, perms = element
-        rows = []
-        for _ in range(self.n):
-            key, row = divmod(key, self.width)
-            rows.append(row)
-        rows = [self.move(row, perm) for row, perm in zip(reversed(rows), perms)]
-        if swap:
-            rows[0], rows[1] = rows[1], rows[0]
-        out = 0
-        for row in rows:
-            out = out * self.width + row
-        return out
+        order, perms = element
+        rows = [self.move(row, perm) for row, perm in zip(self.split(key, self.n), perms)]
+        rows[: self.head] = [rows[i] for i in order]
+        return self.join(rows)
 
     def carriers(self, rep: int) -> dict[int, tuple]:
         """Per shard id of the orbit of shard ``rep``, an element that maps
         shard ``rep`` onto it."""
-        scale = self.width ** max(self.n - 2, 0)
+        scale = self.scale
         table: dict[int, tuple] = {}
         for element in self.elements:
             table.setdefault(self.image(element, rep * scale) // scale, element)
@@ -564,8 +604,8 @@ def _degree_verdicts(
 ) -> Iterator[tuple[int, int, _Tally, Iterator[Callable[[], Witness]]]]:
     """For each degree d in [2, d_max], ``(d, multiset count, tally,
     witnesses)``, where the witnesses are one function per disconnected
-    fiber, in ascending key order, that builds its :class:`Witness`.  They
-    are drawn in full, or not at all if d <= m, before the next degree is
+    fiber that builds its :class:`Witness`: the least key's first, and with
+    ``find_all`` all of them in ascending key order.  They are drawn in full, or not at all if d <= m, before the next degree is
     asked for; once drawn, the tally counts the fibers of the degree.
 
     Arguments come from :func:`_check_sweep`.  Each degree is sized
@@ -587,10 +627,13 @@ def _degree_verdicts(
 
     Each K[d] is a :class:`_KeySet`.  The symmetries of
     :class:`_ShardOrbits` map shards onto shards and keep every verdict,
-    so only the rep of each orbit, its least shard, is built and decided.
-    Every other shard comes after its rep in key order and takes the rep's
-    fiber count; the rep's disconnected keys, carried over by one element
-    and sorted, are its disconnected keys.  An element is a bijection of
+    so only the rep of each orbit, its least shard, is built and decided,
+    and the sweep walks the reps alone, in key order.  The other shards of
+    an orbit hold as many fibers as the rep, and the orbit's size comes
+    from the row tables; each takes the rep's disconnected keys, carried
+    over by one element.  The least disconnected key is therefore a rep's,
+    and met first; with ``find_all``, the keys of a degree are sorted
+    before their witnesses are handed out.  An element is a bijection of
     the flows, so this holds past the first failing degree too.  Shards
     are built as the verdicts ask for them, or as a shard of K[d + 1]
     reads them, so a caller that skips the verdicts of a degree <= m builds
@@ -603,35 +646,44 @@ def _degree_verdicts(
     base = d_max + 1
     failed = 0  # the first degree with a disconnected fiber
 
+    def witness_of(d: int, key: int) -> Callable[[], Witness]:
+        sig = key_signature(key, n, group.order, base)
+        return partial(_signature_witness, group, n, d, sig, m, sweep_cap)
+
     def verdicts(keys: _KeySet, tally: _Tally) -> Iterator[Callable[[], Witness]]:
-        # per rep: fibers, disconnected keys and, if any, its carriers
-        done: dict[int, tuple[int, list[int], Optional[dict[int, tuple]]]] = {}
-        reps = shards.reps[keys.degree]
-        for shard_id in shards.ids(keys.degree):
-            if shard_id in reps:
-                # one generator per shard: its frame, which holds the shard
-                # and its sources, is gone before the next shard is built
-                fibers, bad = yield from decide(keys, shard_id, tally)
-                done[shard_id] = fibers, bad, shards.carriers(shard_id) if bad else None
-                continue
-            fibers, bad, carriers = done[shards.rep(shard_id)]
-            tally.covered += fibers
+        found = walk(keys, tally)
+        if find_all:
+            found = sorted(found, key=itemgetter(0))
+        for _, witness in found:
+            yield witness
+
+    def walk(keys: _KeySet, tally: _Tally) -> Iterator[tuple[int, Callable[[], Witness]]]:
+        # the reps in key order: each rep's disconnected keys, then their
+        # images in the other shards of its orbit
+        for rep in shards.reps[keys.degree]:
+            bad = []
+            # one generator per rep: its frame, which holds the shard and
+            # its sources, is gone before the next shard is built
+            for b, witness in decide(keys, rep, tally):
+                bad.append(b)
+                yield b, witness
             if bad:
-                element = carriers[shard_id]
-                for image in sorted(shards.image(element, b) for b in bad):
-                    sig = key_signature(image, n, group.order, base)
-                    yield partial(_signature_witness, group, n, keys.degree, sig, m, sweep_cap)
+                for shard_id, element in shards.carriers(rep).items():
+                    if shard_id != rep:
+                        for b in bad:
+                            image = shards.image(element, b)
+                            yield image, witness_of(keys.degree, image)
 
     def decide(
         keys: _KeySet, shard_id: int, tally: _Tally
-    ) -> Generator[Callable[[], Witness], None, tuple[int, list[int]]]:
+    ) -> Iterator[tuple[int, Callable[[], Witness]]]:
         nonlocal failed
         sources = keys.sources(shard_id)
         masks = keys.shard(shard_id)
         tally.decided += len(masks)
-        bad: list[int] = []
+        tally.covered += len(masks) * (shards.size(shard_id) - 1)
         if keys.degree <= m:
-            return len(masks), bad
+            return
         # flow i's neighbours in fiber b are the mask of b - codes[i]
         below = [sources.get(h) for h in class_of]
         exact = failed in (0, keys.degree)  # every degree below is connected
@@ -648,14 +700,12 @@ def _degree_verdicts(
                     todo |= grow
                 if reached == full:
                     continue
-            sig = key_signature(b, n, group.order, base)
-            witness = partial(_signature_witness, group, n, keys.degree, sig, m, sweep_cap)
+            witness = witness_of(keys.degree, b)
             if not exact:
                 found = witness()
                 if found is None:
                     continue
                 witness = partial(replace, found)
-            bad.append(b)
             if not failed:
                 failed = keys.degree
                 if not find_all:
@@ -663,8 +713,7 @@ def _degree_verdicts(
                     keys.keep = False
                     keys.kept.clear()
                     keys.readers.clear()
-            yield witness
-        return len(masks), bad
+            yield b, witness
 
     for d in range(2, d_max + 1):
         try:
@@ -675,12 +724,11 @@ def _degree_verdicts(
             ) from exc
         if d == 2:
             codes = flow_keys(enumerate_flows(group, n), base)
-            scale = base ** (max(n - 2, 0) * group.order)
-            class_of = [c // scale for c in codes]
+            shards = _ShardOrbits(group, n, d_max)
+            class_of = [c // shards.scale for c in codes]
             classes: dict[int, list[tuple[int, int]]] = {}
             for i, c in enumerate(codes):
                 classes.setdefault(class_of[i], []).append((c, 1 << i))
-            shards = _ShardOrbits(group, n, d_max)
             keys = _KeySet(_KeySet(None, classes, shards, True), classes, shards, True)
         keys = _KeySet(keys, classes, shards, d < d_max)
         tally = _Tally()

@@ -9,6 +9,7 @@ state space for all connectivity questions downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
@@ -162,6 +163,12 @@ def _check_signature(sig: ColumnSignature, group: Group, n: int) -> int:
     return degree
 
 
+@lru_cache(maxsize=8)
+def _flows(group: Group, n: int) -> tuple[Flow, ...]:
+    """The flows on n, built once per (group, n) for the fibers enumerated."""
+    return tuple(enumerate_flows(group, n))
+
+
 def enumerate_fiber(
     sig: ColumnSignature, group: Group, n: int, *, cap: int = DEFAULT_FIBER_CAP
 ) -> list[FlowMultiset]:
@@ -176,7 +183,7 @@ def enumerate_fiber(
     n = strict_int(n, ShapeError, "n")
     cap = strict_int(cap, PreconditionError, "cap")
     degree = _check_signature(sig, group, n)
-    flows = enumerate_flows(group, n)
+    flows = _flows(group, n)
     block = len(flows) // group.order if n > 1 else 1
     remaining = [list(row) for row in sig.counts]
     chosen: list[int] = []

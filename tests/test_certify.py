@@ -6,12 +6,14 @@ import random
 import threading
 import weakref
 from collections import Counter
+from itertools import permutations, product
 from operator import add
 
 import pytest
 
 import flowcert as fc
 import flowcert.certify as certify_module
+import flowcert.fibers as fibers_module
 from flowcert.certify import _fiber_verdict, _SubmultisetIndex
 from flowcert.errors import (
     CapacityError,
@@ -466,6 +468,10 @@ FROZEN_SWEEPS = [
     (Z4, 3, 4, 2, ((2, 136, 136, 0), (3, 800, 816, 16), (4, 3626, 3876, 226)),
      "a8a87e1ce3eab7e030b6cbcaeadaa9666e8984787c727a9de0d3b342b2819b1a",
      "10f42cb2f6e7bfc0ff747a2c62a5e88ff4567cc61dd63d290f4b95da11a159b4"),
+    # frozen from the sweep whose shards held two rows at every n
+    (Z3, 5, 3, 2, ((2, 2187, 3321, 0), (3, 27907, 91881, 90)),
+     "374324251ee51e42ea177d0d6dcac0dd0cf20c11c475134f2c60753a231d428e",
+     "d5589a292526f040fd2ae010092454945092efce08a8b4705fc895f075c65864"),
 ]
 
 
@@ -478,7 +484,7 @@ def _report_sha(report):
     "group,n,d_max,m,table,sha_default,sha_all",
     FROZEN_SWEEPS,
     ids=["z2-n6-m2", "z2-n5-m2", "z2-n5-m3", "z3-n3-m2", "z3-n4-m2", "z3-n4-m3",
-         "z2x2-n3-m2", "z4-n3-m2"],
+         "z2x2-n3-m2", "z4-n3-m2", "z3-n5-m2"],
 )
 def test_sweep_matches_frozen_counts_and_report_bytes(
     group, n, d_max, m, table, sha_default, sha_all
@@ -647,11 +653,13 @@ def _member_level_report(group, n, d_max, m):
      (Z5, 1, 4, 2), (Z3, 2, 4, 2), (Z6, 2, 4, 2), (Z2xZ3, 2, 4, 2), (Z5, 3, 4, 2),
      (Z5, 3, 4, 3),
      # two degrees past the first failing one
-     (Z3, 3, 5, 2), (Z4, 3, 5, 2), (Z2xZ2, 3, 6, 3)],
+     (Z3, 3, 5, 2), (Z4, 3, 5, 2), (Z2xZ2, 3, 6, 3),
+     # witnesses carried across three-row shard orbits
+     (Z3, 5, 3, 2)],
     ids=["z2-n6-m2", "z2-n5-m3", "z3-n3-m2", "z3-n4-m2", "z3-n4-m3", "z2x2-n3-m2",
          "z2x2-n4-m3", "z4-n3-m2", "z2x2-n3-m3", "z4-n3-m3", "z5-n1-m2", "z3-n2-m2",
          "z6-n2-m2", "z2x3-n2-m2", "z5-n3-m2", "z5-n3-m3", "z3-n3-d5-m2", "z4-n3-d5-m2",
-         "z2x2-n3-d6-m3"],
+         "z2x2-n3-d6-m3", "z3-n5-m2"],
 )
 def test_sweep_matches_the_member_level_oracle(group, n, d_max, m):
     every = _member_level_report(group, n, d_max, m)
@@ -700,12 +708,18 @@ class _Builds(dict):
         self.log: list[tuple[int, int]] = []
 
 
+def _shard_rows(n):
+    """How many rows a shard id holds: rows 0 to 2 from n = 5 on, rows 0
+    and 1 for n = 2 to 4, row 0 for n = 1."""
+    return 3 if n >= 5 else min(n, 2)
+
+
 def _key_classes(group, n, d_max):
     """The flow keys, the shard scale and each degree's shard ids, rebuilt
-    here from the flows: a shard id is a key's row-0 and row-1 digits."""
+    here from the flows: a shard id is a key's digits of its shard rows."""
     base = d_max + 1
     codes = flow_keys(fc.enumerate_flows(group, n), base)
-    scale = base ** (max(n - 2, 0) * group.order)
+    scale = base ** ((n - _shard_rows(n)) * group.order)
     classes = {c // scale for c in codes}
     ids = [{0}]
     for _ in range(d_max):
@@ -716,11 +730,12 @@ def _key_classes(group, n, d_max):
 def _shard_group(group, n, base):
     """Every element of the shard group, built here from the flow actions:
     one automorphism on every index (the identity alone for a product
-    group), a shift by the flow (t0, t1, 0, ..., 0, -t0-t1) ((t0, -t0) for
-    n = 2, none for n = 1), and a swap of indices 0 and 1 or none.  Each
-    element is the move of signature digits it makes: (index, code) to
-    (index, code), for every digit that some flow sets."""
-    q = group.order
+    group), a shift by the flow (t0, ..., t(s-1), 0, ..., 0, -t0-...-t(s-1))
+    over the s shard rows ((t0, -t0) for n = 2, none for n = 1), and a
+    permutation of the shard rows.  Each element is the move of signature
+    digits it makes: (index, code) to (index, code), for every digit that
+    some flow sets."""
+    q, s = group.order, _shard_rows(n)
     try:
         autos = fc.automorphisms(group)
     except fc.UnsupportedGroupError:
@@ -730,11 +745,13 @@ def _shard_group(group, n, base):
     elif n == 2:
         shifts = [(t, fc.neg(group, t)) for t in range(q)]
     else:
-        shifts = [
-            (t0, t1) + (0,) * (n - 3) + (fc.neg(group, fc.add(group, t0, t1)),)
-            for t0 in range(q) for t1 in range(q)
-        ]
-    orders = [tuple(range(n))] + ([(1, 0) + tuple(range(2, n))] if n > 1 else [])
+        shifts = []
+        for ts in product(range(q), repeat=s):
+            total = 0
+            for t in ts:
+                total = fc.add(group, total, t)
+            shifts.append(ts + (0,) * (n - s - 1) + (fc.neg(group, total),))
+    orders = [sigma + tuple(range(s, n)) for sigma in permutations(range(s))]
     flows = fc.enumerate_flows(group, n)
     moves = []
     for pi in autos:
@@ -765,6 +782,16 @@ def _row_image(where, i, value, q, base):
     return target, out
 
 
+def _rows_of(number, count, width):
+    """The ``count`` rows of ``number``, each a digit in base ``width``,
+    row 0 first."""
+    rows = []
+    for _ in range(count):
+        number, value = divmod(number, width)
+        rows.append(value)
+    return rows[::-1]
+
+
 def _placed_rows(where, rows, n, q, base):
     """Each (row, value) of ``rows`` under ``where``, as what it adds to a
     key of ``n`` rows: its new value at its new row."""
@@ -783,7 +810,7 @@ def _orbit_reps(group, n, d_max):
     moves = _shard_group(group, n, base)
     out = []
     for level in ids:
-        rows = {h: list(enumerate((h,) if n == 1 else divmod(h, base**q))) for h in sorted(level)}
+        rows = {h: list(enumerate(_rows_of(h, _shard_rows(n), base**q))) for h in sorted(level)}
         reps = dict.fromkeys(rows, float("inf"))
         for where in moves:
             placed = _placed_rows(where, {r for h in rows for r in rows[h]}, n, q, base)
@@ -850,7 +877,7 @@ def _recording_shards(monkeypatch):
 @pytest.mark.parametrize(
     "factors,n",
     [([2], n) for n in range(1, 7)] + [([3], n) for n in range(1, 5)]
-    + [([2, 2], n) for n in range(2, 5)] + [([4], 3), ([5], 3), ([2, 3], 2)],
+    + [([2, 2], n) for n in range(2, 5)] + [([4], 3), ([5], 3), ([2, 3], 2), ([3], 5)],
 )
 def test_shards_concatenate_to_the_sorted_key_set(monkeypatch, factors, n):
     group, d_max = fc.make_group(factors), 4
@@ -872,7 +899,7 @@ def test_shards_concatenate_to_the_sorted_key_set(monkeypatch, factors, n):
     for d in range(1, d_max + 1):
         below, keys = keys, {k + c for k in keys for c in codes}
         shards = dict(built[d])
-        # a shard is the keys of one count at rows 0 and 1, built once;
+        # a shard is the keys of one count at its shard rows, built once;
         # in ascending order of their ids, the shards built are sorted
         # and hold every key of their ids
         assert len(shards) == len(built[d])
@@ -989,17 +1016,21 @@ def _flow_components(b, full, below, codes):
     "factors,n",
     [([2], n) for n in range(1, 7)] + [([3], n) for n in range(1, 5)]
     + [([2, 2], n) for n in range(1, 5)] + [([4], 3), ([5], 3)]
-    + [([2, 3], n) for n in (1, 2)] + [([6], n) for n in (1, 2)],
+    + [([2, 3], n) for n in (1, 2)] + [([6], n) for n in (1, 2)] + [([3], 5)],
 )
 def test_the_shard_group_keeps_key_sets_and_verdicts(factors, n):
-    group, d_max = fc.make_group(factors), 4
+    group = fc.make_group(factors)
+    # up to 64 flows, to degree 4; Z3 on 5 indices, 81 flows and 324
+    # elements, to degree 3, its first degree with a disconnected fiber
+    d_max = 4 if group.order ** (n - 1) <= 64 else 3
     q, base = group.order, d_max + 1
     codes, scale, _, _ = _key_classes(group, n, d_max)
     width = base**q
     moves = _shard_group(group, n, base)
-    # rows 0 and 1, a shard's id, stay among themselves
+    rows = _shard_rows(n)
+    # the shard rows, a shard's id, stay among themselves
     for where in moves:
-        assert all((i < 2) == (j < 2) for (i, _), (j, _) in where.items())
+        assert all((i < rows) == (j < rows) for (i, _), (j, _) in where.items())
     reports = [fc.certify_degree(group, n, d_max, m) for m in (2, d_max)]
     masks = {0: 0}
     for d in range(1, d_max + 1):
@@ -1009,23 +1040,18 @@ def test_the_shard_group_keeps_key_sets_and_verdicts(factors, n):
                 masks[k + c] = masks.get(k + c, 0) | 1 << i
         parts = {b: _flow_components(b, masks[b], below, codes) for b in masks}
         values = list(parts.values())
-        # each key as its shard (rows 0 and 1) and the rest of its rows
+        # each key as its shard (its shard rows) and the rest of its rows
         heads, tails = zip(*(divmod(b, scale) for b in masks))
         shard_ids, rests = sorted(set(heads)), sorted(set(tails))
 
         def columns(numbers, first, count):
             # per row, the (row, value) of each number
-            rows = []
-            for number in numbers:
-                values_of = []
-                for _ in range(count):
-                    number, value = divmod(number, width)
-                    values_of.append(value)
-                rows.append(list(enumerate(reversed(values_of), first)))
-            return list(zip(*rows))
+            return list(zip(*(
+                list(enumerate(_rows_of(number, count, width), first)) for number in numbers
+            )))
 
-        head_columns = columns(shard_ids, 0, min(n, 2))
-        tail_columns = columns(rests, 2, max(n - 2, 0))
+        head_columns = columns(shard_ids, 0, rows)
+        tail_columns = columns(rests, rows, n - rows)
         every_row = {r for column in (*head_columns, *tail_columns) for r in column}
         reps = [float("inf")] * len(shard_ids)
         for where in moves:
@@ -1060,3 +1086,55 @@ def test_the_shard_group_keeps_key_sets_and_verdicts(factors, n):
                 assert (stats.decided_count, stats.covered_count) == (
                     decided, len(masks) - decided
                 )
+
+
+@pytest.mark.parametrize(
+    "factors,n",
+    [([2], n) for n in range(1, 7)] + [([3], n) for n in range(2, 6)]
+    + [([2, 2], n) for n in range(3, 6)] + [([5], 3), ([6], 2), ([2, 3], 2)],
+)
+def test_orbit_sizes_from_row_tables_match_the_carrier_tables(factors, n):
+    group, d_max = fc.make_group(factors), 4
+    shards = certify_module._ShardOrbits(group, n, d_max)
+    for d in range(2, d_max + 1):
+        ids = shards.ids(d)
+        # the orbits of the reps partition the shard ids of the degree
+        assert shards.reps[d] == sorted({shards.rep(h) for h in ids})
+        sizes = [shards.size(rep) for rep in shards.reps[d]]
+        assert sizes == [len(shards.carriers(rep)) for rep in shards.reps[d]]
+        assert sum(sizes) == len(ids)
+
+
+def test_the_sweep_reads_reps_only_while_it_builds_the_orbit_tables(monkeypatch):
+    calls = []
+    original = certify_module._ShardOrbits.rep
+
+    def counting(self, shard_id):
+        calls.append(shard_id)
+        return original(self, shard_id)
+
+    monkeypatch.setattr(certify_module._ShardOrbits, "rep", counting)
+    certify_module._ShardOrbits(Z5, 3, 5)
+    tables = len(calls)
+    calls.clear()
+    report = fc.certify_degree(Z5, 3, 5, 3, find_all=True)
+    assert report.per_degree[-1].disconnected_count
+    # the sweep walks the reps; no shard id is tested against its rep
+    assert len(calls) == tables
+
+
+def test_a_find_all_sweep_enumerates_the_flows_of_its_fibers_once(monkeypatch):
+    calls = []
+    original = fibers_module.enumerate_flows
+
+    def counting(group, n, **kwargs):
+        calls.append((group, n))
+        return original(group, n, **kwargs)
+
+    monkeypatch.setattr(fibers_module, "enumerate_flows", counting)
+    fibers_module._flows.cache_clear()
+    report = fc.certify_degree(Z3, 3, 5, 2, find_all=True)
+    # degrees 4 and 5, past the first failing degree, enumerate the members
+    # of each key of their rep shards
+    assert [s.disconnected_count for s in report.per_degree] == [0, 1, 9, 45]
+    assert calls == [(Z3, 3)]

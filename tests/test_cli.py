@@ -161,7 +161,7 @@ def test_certify_reports_fibers_decided_and_covered_by_symmetry(capsys):
     # 333 + 1856 + 7109 fibers: the rep shards are decided, the rest covered
     elapsed = err.splitlines()[-1]
     assert re.fullmatch(
-        r"elapsed: \d+ ms, fibers decided 2190, covered by symmetry 7108", elapsed
+        r"elapsed: \d+ ms, fibers decided 736, covered by symmetry 8562", elapsed
     )
     assert err.splitlines()[:-1] == [
         "degree 2: 333 fibers, 528 multisets, 0 disconnected",
