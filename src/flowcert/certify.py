@@ -44,6 +44,7 @@ from .fibers import (
     enumerate_all_fibers,  # unused here; bench/tracing.py wraps certify.enumerate_all_fibers
     enumerate_fiber,
     flow_keys,
+    flows_on,
     key_signature,
     make_multiset,
     multiset_from_rows,
@@ -52,7 +53,6 @@ from .fibers import (
     signature_from_json,
     sweep_size,
 )
-from .flows import enumerate_flows
 from .groups import (
     Group,
     add_table,
@@ -409,16 +409,17 @@ class _ShardOrbits:
         self.head = 3 if n >= 5 else min(n, 2)  # s, the shard rows
         self.scale = self.width ** (n - self.head)  # a key's shard id is key // scale
         self.d_max = d_max
+        # per code v, the value of a row with one count at v
+        self.units = units = [base ** (q - 1 - v) for v in range(q)]
         identity = tuple(range(q))
         shifts = [self.perm(identity, t) for t in (range(q) if n > 1 else (0,))]
-        units = [base ** (q - 1 - v) for v in range(q)]
         # per degree, its row values, ascending; per row value, the row
         # values one degree down within it
         self.rows: list[list[int]] = [[0]]
         self.lower: dict[int, list[int]] = {}
         # per row value, for each automorphism, the least value of the
-        # shifts of its image, and how many values its shifts take: the
-        # tables that rep tests and orbit sizes read
+        # shifts of its image, and per least value, how many values its
+        # shifts take: the tables that rep tests and orbit sizes read
         self.lows: dict[int, tuple[int, ...]] = {}
         self.spread: dict[int, int] = {}
         # per degree, the reps, ascending
@@ -433,9 +434,9 @@ class _ShardOrbits:
                 self.lower[r] = [r - u for u in units if r - u in below]
                 if r not in low:
                     least.append(r)
-                    orbit = {self.move(r, t) for t in shifts}
+                    orbit = dict.fromkeys(self.move(r, t) for t in shifts)
                     low.update(dict.fromkeys(orbit, r))
-                    self.spread.update(dict.fromkeys(orbit, len(orbit)))
+                    self.spread[r] = len(orbit)
             # autos[0] is the identity
             for r in rows:
                 self.lows[r] = (low[r],) + tuple(low[self.move(r, phi)] for phi in self.autos[1:])
@@ -445,8 +446,10 @@ class _ShardOrbits:
             elif n == 2:
                 candidates = [self.paired(r) for r in least]
             else:
-                candidates = map(self.join, combinations_with_replacement(least, self.head))
-            self.reps.append([s for s in candidates if d >= 2 and self.rep(s) == s])
+                heads = combinations_with_replacement(least, self.head)
+                candidates = [self.join(head) for head in heads if self.least(head) == head]
+            self.reps.append(candidates if d >= 2 and n >= 3 else
+                             [s for s in candidates if d >= 2 and self.rep(s) == s])
         self.classes = list(self.ids(1))
         # per degree, the shards the sweep builds: the reps, and the
         # shards one degree down that the shards it builds read
@@ -457,11 +460,10 @@ class _ShardOrbits:
 
     def split(self, number: int, count: int) -> list[int]:
         """The ``count`` rows of ``number``, row 0 first."""
-        rows = []
-        for _ in range(count):
-            number, row = divmod(number, self.width)
-            rows.append(row)
-        return rows[::-1]
+        rows, width = [0] * count, self.width
+        for i in range(count - 1, -1, -1):
+            number, rows[i] = divmod(number, width)
+        return rows
 
     def join(self, rows: Iterable[int]) -> int:
         """The number whose rows are ``rows``, row 0 first."""
@@ -490,8 +492,15 @@ class _ShardOrbits:
             return self.lower[shard_id]
         if self.n == 2:
             return [self.paired(r) for r in self.lower[shard_id // self.width]]
-        lower = [self.lower[r] for r in self.split(shard_id, self.head)]
-        return [self.join(head) for head in product(*lower)]
+        width, lower = self.width, self.lower
+        shard_id, row = divmod(shard_id, width)
+        out, weight = lower[row], width
+        # row by row, most significant last, each row's values outermost
+        for _ in range(self.head - 1):
+            shard_id, row = divmod(shard_id, width)
+            out = [x * weight + i for x in lower[row] for i in out]
+            weight *= width
+        return out
 
     def perm(self, phi: tuple[int, ...], t: int) -> tuple[int, ...]:
         """The code permutation v -> phi(v) + t."""
@@ -499,10 +508,11 @@ class _ShardOrbits:
 
     def move(self, value: int, perm: tuple[int, ...]) -> int:
         """The value of the row ``value`` with column v moved to perm[v]."""
-        out, base, top = 0, self.base, self.q - 1
-        for v in range(top, -1, -1):
+        out, base, units, v = 0, self.base, self.units, self.q - 1
+        while value:
             value, c = divmod(value, base)
-            out += c * base ** (top - perm[v])
+            out += c * units[perm[v]]
+            v -= 1
         return out
 
     def rep(self, shard_id: int) -> int:
@@ -518,8 +528,12 @@ class _ShardOrbits:
         if self.n == 2:
             r0, r1 = divmod(shard_id, self.width)
             return self.paired(min(map(min, self.lows[r0], self.lows[r1])))
-        lows = zip(*(self.lows[r] for r in self.split(shard_id, self.head)))
-        return min(self.join(sorted(head)) for head in lows)
+        return self.join(self.least(self.split(shard_id, self.head)))
+
+    def least(self, rows: Iterable[int]) -> tuple[int, ...]:
+        """For n >= 3, the shard rows of the rep of the shard whose shard
+        rows are ``rows``."""
+        return min(tuple(sorted(head)) for head in zip(*(self.lows[r] for r in rows)))
 
     def size(self, shard_id: int) -> int:
         """How many shard ids the orbit of shard ``shard_id`` holds.
@@ -535,12 +549,12 @@ class _ShardOrbits:
             return 1
         if self.n == 2:
             r0, r1 = divmod(shard_id, self.width)
-            return len(set(self.lows[r0] + self.lows[r1])) * self.spread[r0]
+            return len(set(self.lows[r0] + self.lows[r1])) * self.spread[self.lows[r0][0]]
         rows = self.split(shard_id, self.head)
         images = {tuple(sorted(head)) for head in zip(*(self.lows[r] for r in rows))}
         repeats = Counter(self.lows[r][0] for r in rows).values()
         arrangements = factorial(self.head) // prod(map(factorial, repeats))
-        return len(images) * arrangements * prod(self.spread[r] for r in rows)
+        return len(images) * arrangements * prod(self.spread[self.lows[r][0]] for r in rows)
 
     def readers(self, d: int, shard_id: int) -> int:
         """How many shards of K[d + 1] that the sweep builds read shard
@@ -723,7 +737,7 @@ def _degree_verdicts(
                 f"degree {d} of the sweep: {exc}", required=exc.required, cap=exc.cap
             ) from exc
         if d == 2:
-            codes = flow_keys(enumerate_flows(group, n), base)
+            codes = flow_keys(flows_on(group, n), base)
             shards = _ShardOrbits(group, n, d_max)
             class_of = [c // shards.scale for c in codes]
             classes: dict[int, list[tuple[int, int]]] = {}

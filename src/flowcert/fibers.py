@@ -164,8 +164,9 @@ def _check_signature(sig: ColumnSignature, group: Group, n: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _flows(group: Group, n: int) -> tuple[Flow, ...]:
-    """The flows on n, built once per (group, n) for the fibers enumerated."""
+def flows_on(group: Group, n: int) -> tuple[Flow, ...]:
+    """The flows on n, as :func:`enumerate_flows` lists them, built once
+    per (group, n) for every fiber enumerated and every sweep."""
     return tuple(enumerate_flows(group, n))
 
 
@@ -183,7 +184,7 @@ def enumerate_fiber(
     n = strict_int(n, ShapeError, "n")
     cap = strict_int(cap, PreconditionError, "cap")
     degree = _check_signature(sig, group, n)
-    flows = _flows(group, n)
+    flows = flows_on(group, n)
     block = len(flows) // group.order if n > 1 else 1
     remaining = [list(row) for row in sig.counts]
     chosen: list[int] = []

@@ -1132,7 +1132,7 @@ def test_a_find_all_sweep_enumerates_the_flows_of_its_fibers_once(monkeypatch):
         return original(group, n, **kwargs)
 
     monkeypatch.setattr(fibers_module, "enumerate_flows", counting)
-    fibers_module._flows.cache_clear()
+    fibers_module.flows_on.cache_clear()
     report = fc.certify_degree(Z3, 3, 5, 2, find_all=True)
     # degrees 4 and 5, past the first failing degree, enumerate the members
     # of each key of their rep shards
