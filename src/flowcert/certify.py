@@ -442,14 +442,13 @@ class _ShardOrbits:
                 self.lows[r] = (low[r],) + tuple(low[self.move(r, phi)] for phi in self.autos[1:])
             # a rep's rows are each the least of their shifts, in ascending order
             if n == 1:
-                candidates = [d * units[0]]
+                reps = [d * units[0]]
             elif n == 2:
-                candidates = [self.paired(r) for r in least]
+                reps = [s for s in map(self.paired, least) if self.rep(s) == s]
             else:
                 heads = combinations_with_replacement(least, self.head)
-                candidates = [self.join(head) for head in heads if self.least(head) == head]
-            self.reps.append(candidates if d >= 2 and n >= 3 else
-                             [s for s in candidates if d >= 2 and self.rep(s) == s])
+                reps = [self.join(head) for head in heads if self.least(head) == head]
+            self.reps.append(reps if d >= 2 else [])
         self.classes = list(self.ids(1))
         # per degree, the shards the sweep builds: the reps, and the
         # shards one degree down that the shards it builds read
