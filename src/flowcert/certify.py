@@ -22,7 +22,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import chain, combinations, combinations_with_replacement, permutations, product
 from math import factorial, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
@@ -41,6 +41,7 @@ from .fibers import (
     FlowMultiset,
     check_fiber,
     compatible,
+    _enumerate_members,
     enumerate_all_fibers,  # unused here; bench/tracing.py wraps certify.enumerate_all_fibers
     enumerate_fiber,
     flow_keys,
@@ -297,12 +298,14 @@ def _check_sweep(n: int, d_max: int, m: int, sweep_cap: int) -> tuple[int, int, 
     return strict_int(n, ShapeError, "n"), d_max, m, sweep_cap
 
 
-def _signature_witness(
-    group: Group, n: int, d: int, sig: ColumnSignature, m: int, sweep_cap: int
+def _key_witness(
+    group: Group, n: int, d: int, key: int, base: int, m: int, sweep_cap: int
 ) -> Optional[Witness]:
-    """The witness of the fiber ``sig``, or None if it is connected, from
-    its members and their components."""
-    pair = _fiber_verdict((sig, enumerate_fiber(sig, group, n, cap=sweep_cap)), m)[2]
+    """The witness of the fiber ``key``, or None if it is connected, from
+    its members and their components.  The sweep made the key, so the
+    signature is not checked again."""
+    sig = key_signature(key, n, group.order, base)
+    pair = _fiber_verdict((sig, _enumerate_members(sig, group, n, d, sweep_cap)), m)[2]
     return None if pair is None else Witness(d, sig, *pair)
 
 
@@ -392,8 +395,9 @@ class _ShardOrbits:
     K[d] onto K[d] and S(b) onto S(g b), and keeps every verdict.  It moves
     the shard rows among themselves, so it maps shards onto shards.  The
     rep of an orbit is its least id.  The sweep builds the reps of every
-    degree from 2 up, and the shards one degree down that the shards it
-    builds read.
+    degree it walks, from ``first`` up, and the shards one degree down that
+    the shards it builds read; the rep and orbit-size tables cover those
+    degrees alone.
 
     A row of counts is handled as its value, its digits in base
     d_max + 1, column 0 most significant.  For n >= 3 the shard rows of a
@@ -401,14 +405,13 @@ class _ShardOrbits:
     for n = 1, the one flow is all zeros.
     """
 
-    def __init__(self, group: Group, n: int, d_max: int):
+    def __init__(self, group: Group, n: int, d_max: int, first: int = 2):
         q, base = group.order, d_max + 1
         self.add, self.negation = add_table(group), neg_table(group)
         self.autos = automorphisms(group) if len(group.factors) == 1 else [tuple(range(q))]
         self.n, self.q, self.base, self.width = n, q, base, base**q
         self.head = 3 if n >= 5 else min(n, 2)  # s, the shard rows
         self.scale = self.width ** (n - self.head)  # a key's shard id is key // scale
-        self.d_max = d_max
         # per code v, the value of a row with one count at v
         self.units = units = [base ** (q - 1 - v) for v in range(q)]
         identity = tuple(range(q))
@@ -422,16 +425,20 @@ class _ShardOrbits:
         # shifts take: the tables that rep tests and orbit sizes read
         self.lows: dict[int, tuple[int, ...]] = {}
         self.spread: dict[int, int] = {}
-        # per degree, the reps, ascending
-        self.reps: list[list[int]] = [[]]
+        # per degree, the :meth:`top` of each rep, ascending
+        tops: list[list[tuple[int, ...]]] = [[]]
         for d in range(1, d_max + 1):
             below = set(self.rows[-1])
             rows = sorted({r + u for r in below for u in units})
             self.rows.append(rows)
+            for r in rows:
+                self.lower[r] = [r - u for u in units if r - u in below]
+            tops.append([])
+            if d < first:
+                continue
             # the least row of each shift orbit is met first
             least, low = [], {}
             for r in rows:
-                self.lower[r] = [r - u for u in units if r - u in below]
                 if r not in low:
                     least.append(r)
                     orbit = dict.fromkeys(self.move(r, t) for t in shifts)
@@ -440,22 +447,25 @@ class _ShardOrbits:
             # autos[0] is the identity
             for r in rows:
                 self.lows[r] = (low[r],) + tuple(low[self.move(r, phi)] for phi in self.autos[1:])
-            # a rep's rows are each the least of their shifts, in ascending order
+            # a rep's rows are each the least of their shifts, in ascending
+            # order, and no other automorphism (Z2 and product groups have
+            # none) gives less
             if n == 1:
-                reps = [d * units[0]]
+                tops[d] = [(d * units[0],)]
             elif n == 2:
-                reps = [s for s in map(self.paired, least) if self.rep(s) == s]
+                tops[d] = [(r,) for r in least if self.rep(self.paired(r)) == self.paired(r)]
             else:
                 heads = combinations_with_replacement(least, self.head)
-                reps = [self.join(head) for head in heads if self.least(head) == head]
-            self.reps.append(reps if d >= 2 else [])
-        self.classes = list(self.ids(1))
-        # per degree, the shards the sweep builds: the reps, and the
-        # shards one degree down that the shards it builds read
-        self.built: list[set[int]] = [set() for _ in self.rows]
-        for d in range(d_max, 0, -1):
-            above = self.built[d + 1] if d < d_max else ()
-            self.built[d] = set(self.reps[d]).union(*map(self.sources, above))
+                tops[d] = [h for h in heads if len(self.autos) == 1 or self.least(h) == h]
+        self.reps = [list(map(self.named, level)) for level in tops]
+        # per degree, per :meth:`top` of a shard the sweep builds, how many
+        # shards it builds one degree up read it
+        self.reads: list[Counter] = [Counter() for _ in self.rows]
+        above: Iterable[tuple[int, ...]] = ()
+        lower = self.lower.__getitem__
+        for d in range(d_max, -1, -1):
+            self.reads[d].update(chain.from_iterable(product(*map(lower, top)) for top in above))
+            above = self.reads[d].keys() | tops[d]
 
     def split(self, number: int, count: int) -> list[int]:
         """The ``count`` rows of ``number``, row 0 first."""
@@ -485,21 +495,19 @@ class _ShardOrbits:
             return sorted(self.paired(r) for r in rows)
         return [self.join(head) for head in product(rows, repeat=self.head)]
 
+    def top(self, shard_id: int) -> tuple[int, ...]:
+        """The shard rows of shard ``shard_id``, only row 0 for n = 2."""
+        rows = self.split(shard_id, self.head)
+        return tuple(rows[:1] if self.n == 2 else rows)
+
+    def named(self, top: tuple[int, ...]) -> int:
+        """The shard id whose :meth:`top` is ``top``."""
+        return self.paired(*top) if self.n == 2 else self.join(top)
+
     def sources(self, shard_id: int) -> list[int]:
-        """The shard ids one degree down that shard ``shard_id`` reads."""
-        if self.n == 1:
-            return self.lower[shard_id]
-        if self.n == 2:
-            return [self.paired(r) for r in self.lower[shard_id // self.width]]
-        width, lower = self.width, self.lower
-        shard_id, row = divmod(shard_id, width)
-        out, weight = lower[row], width
-        # row by row, most significant last, each row's values outermost
-        for _ in range(self.head - 1):
-            shard_id, row = divmod(shard_id, width)
-            out = [x * weight + i for x in lower[row] for i in out]
-            weight *= width
-        return out
+        """The shard ids one degree down that shard ``shard_id`` reads: a
+        row one degree down within each of its rows, ascending."""
+        return list(map(self.named, product(*map(self.lower.__getitem__, self.top(shard_id)))))
 
     def perm(self, phi: tuple[int, ...], t: int) -> tuple[int, ...]:
         """The code permutation v -> phi(v) + t."""
@@ -558,10 +566,7 @@ class _ShardOrbits:
     def readers(self, d: int, shard_id: int) -> int:
         """How many shards of K[d + 1] that the sweep builds read shard
         ``shard_id`` of K[d]."""
-        if d == self.d_max:
-            return 0
-        built = self.built[d + 1]
-        return sum(shard_id + h in built for h in self.classes)
+        return self.reads[d][self.top(shard_id)]
 
     @cached_property
     def elements(self) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
@@ -613,13 +618,15 @@ class _Tally:
 
 
 def _degree_verdicts(
-    group: Group, n: int, d_max: int, m: int, sweep_cap: int, find_all: bool
+    group: Group, n: int, d_max: int, m: int, sweep_cap: int, find_all: bool, first: int
 ) -> Iterator[tuple[int, int, _Tally, Iterator[Callable[[], Witness]]]]:
     """For each degree d in [2, d_max], ``(d, multiset count, tally,
     witnesses)``, where the witnesses are one function per disconnected
     fiber that builds its :class:`Witness`: the least key's first, and with
-    ``find_all`` all of them in ascending key order.  They are drawn in full, or not at all if d <= m, before the next degree is
-    asked for; once drawn, the tally counts the fibers of the degree.
+    ``find_all`` all of them in ascending key order.  They are drawn in
+    full before the next degree is asked for, from degree ``first`` up (2,
+    or m + 1 for a caller that needs no verdict of a degree <= m), and not
+    at all below it; once drawn, the tally counts the fibers of the degree.
 
     Arguments come from :func:`_check_sweep`.  Each degree is sized
     against ``sweep_cap`` before any of it is built.
@@ -635,7 +642,7 @@ def _degree_verdicts(
     the bits of S(b) decides fiber b, one probe of K[d - 1] per flow it
     reaches.  Fibers of degree <= m are connected, so this premise holds up
     to and including the first degree with a disconnected fiber.  Past it,
-    a fiber's members are built by :func:`enumerate_fiber` and their
+    a fiber's members are built by :func:`_enumerate_members` and their
     components decide it.
 
     Each K[d] is a :class:`_KeySet`.  The symmetries of
@@ -659,37 +666,36 @@ def _degree_verdicts(
     base = d_max + 1
     failed = 0  # the first degree with a disconnected fiber
 
-    def witness_of(d: int, key: int) -> Callable[[], Witness]:
-        sig = key_signature(key, n, group.order, base)
-        return partial(_signature_witness, group, n, d, sig, m, sweep_cap)
-
     def verdicts(keys: _KeySet, tally: _Tally) -> Iterator[Callable[[], Witness]]:
         found = walk(keys, tally)
         if find_all:
             found = sorted(found, key=itemgetter(0))
-        for _, witness in found:
-            yield witness
+        # a witness is built when it is drawn, unless its fiber's check built it
+        for key, built in found:
+            if built is None:
+                yield partial(_key_witness, group, n, keys.degree, key, base, m, sweep_cap)
+            else:
+                yield partial(replace, built)
 
-    def walk(keys: _KeySet, tally: _Tally) -> Iterator[tuple[int, Callable[[], Witness]]]:
+    def walk(keys: _KeySet, tally: _Tally) -> Iterator[tuple[int, Optional[Witness]]]:
         # the reps in key order: each rep's disconnected keys, then their
         # images in the other shards of its orbit
         for rep in shards.reps[keys.degree]:
             bad = []
             # one generator per rep: its frame, which holds the shard and
             # its sources, is gone before the next shard is built
-            for b, witness in decide(keys, rep, tally):
+            for b, built in decide(keys, rep, tally):
                 bad.append(b)
-                yield b, witness
+                yield b, built
             if bad:
                 for shard_id, element in shards.carriers(rep).items():
                     if shard_id != rep:
                         for b in bad:
-                            image = shards.image(element, b)
-                            yield image, witness_of(keys.degree, image)
+                            yield shards.image(element, b), None
 
     def decide(
         keys: _KeySet, shard_id: int, tally: _Tally
-    ) -> Iterator[tuple[int, Callable[[], Witness]]]:
+    ) -> Iterator[tuple[int, Optional[Witness]]]:
         nonlocal failed
         sources = keys.sources(shard_id)
         masks = keys.shard(shard_id)
@@ -713,12 +719,11 @@ def _degree_verdicts(
                     todo |= grow
                 if reached == full:
                     continue
-            witness = witness_of(keys.degree, b)
+            built = None
             if not exact:
-                found = witness()
-                if found is None:
+                built = _key_witness(group, n, keys.degree, b, base, m, sweep_cap)
+                if built is None:
                     continue
-                witness = partial(replace, found)
             if not failed:
                 failed = keys.degree
                 if not find_all:
@@ -726,7 +731,7 @@ def _degree_verdicts(
                     keys.keep = False
                     keys.kept.clear()
                     keys.readers.clear()
-            yield b, witness
+            yield b, built
 
     for d in range(2, d_max + 1):
         try:
@@ -737,7 +742,7 @@ def _degree_verdicts(
             ) from exc
         if d == 2:
             codes = flow_keys(flows_on(group, n), base)
-            shards = _ShardOrbits(group, n, d_max)
+            shards = _ShardOrbits(group, n, d_max, first)
             class_of = [c // shards.scale for c in codes]
             classes: dict[int, list[tuple[int, int]]] = {}
             for i, c in enumerate(codes):
@@ -779,7 +784,7 @@ def certify_degree(
     started = time.monotonic()
     per_degree: list[DegreeStats] = []
     witnesses: list[Witness] = []
-    for d, multisets, tally, found in _degree_verdicts(group, n, d_max, m, sweep_cap, find_all):
+    for d, multisets, tally, found in _degree_verdicts(group, n, d_max, m, sweep_cap, find_all, 2):
         disconnected = 0
         for witness in found:
             disconnected += 1
@@ -891,9 +896,9 @@ def find_indispensable(
     degree; None only means the range [2, d_max] is clean.
     """
     n, d_max, m, sweep_cap = _check_sweep(n, d_max, m, sweep_cap)
-    for d, _, _, found in _degree_verdicts(group, n, d_max, m, sweep_cap, find_all=False):
-        if d <= m:
-            continue  # every fiber is connected; build none of its keys
+    # no verdict of a degree <= m is drawn, so none of its keys is built but
+    # those that later degrees read
+    for _, _, _, found in _degree_verdicts(group, n, d_max, m, sweep_cap, False, m + 1):
         for witness in found:
             return witness()
     return None

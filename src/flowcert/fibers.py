@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -170,53 +170,72 @@ def flows_on(group: Group, n: int) -> tuple[Flow, ...]:
     return tuple(enumerate_flows(group, n))
 
 
+@lru_cache(maxsize=8)
+def _guarded_codes(group: Group, n: int, width: int) -> tuple[tuple[int, ...], dict[int, int], int]:
+    """Per flow of :func:`flows_on`, its one-hot signature as one int of
+    ``width``-bit fields, (index i, value v) at bit ``(i * |G| + v) * width``;
+    each code's flow position; and the guards, the top bit of each field."""
+    codes = tuple(sum(1 << (i * group.order + v) * width for i, v in enumerate(f.values))
+                  for f in flows_on(group, n))
+    guards = sum(1 << (p + 1) * width - 1 for p in range(n * group.order))
+    return codes, {code: j for j, code in enumerate(codes)}, guards
+
+
 def enumerate_fiber(
     sig: ColumnSignature, group: Group, n: int, *, cap: int = DEFAULT_FIBER_CAP
 ) -> list[FlowMultiset]:
-    """All degree-d multisets with the given signature, in canonical order.
+    """All degree-d multisets with the given signature, in canonical order:
+    :func:`_enumerate_members`, once the arguments are checked."""
+    n = strict_int(n, ShapeError, "n")
+    cap = strict_int(cap, PreconditionError, "cap")
+    return _enumerate_members(sig, group, n, _check_signature(sig, group, n), cap)
 
-    Depth-first construction: flows are tried in canonical order with
+
+def _enumerate_members(
+    sig: ColumnSignature, group: Group, n: int, degree: int, cap: int
+) -> list[FlowMultiset]:
+    """:func:`enumerate_fiber` without its checks, for signatures the sweep
+    made.  Depth-first construction: flows are tried in canonical order with
     multiplicity, pruning on the per-index remaining counts, so emitted
     multisets come out sorted without a post-pass.  Flows come in blocks of
     one value at index 0 (for n = 1, the one flow), so each step tries only
-    the block of the least value that index 0 still needs.
+    the block of the least value that index 0 still needs, and the last
+    step only the flow whose signature the remaining counts are.  The
+    remaining counts are one int, a field per (index, value) whose top bit
+    is a guard: subtracting a flow's code clears a guard exactly when the
+    flow needs a count that is used up.
     """
-    n = strict_int(n, ShapeError, "n")
-    cap = strict_int(cap, PreconditionError, "cap")
-    degree = _check_signature(sig, group, n)
-    flows = flows_on(group, n)
+    flows, width = flows_on(group, n), (degree + 1).bit_length() + 1
+    codes, position, guards = _guarded_codes(group, n, width)
+    counts = guards + sum(c << p * width for p, c in enumerate(chain(*sig.counts)))
+    # the count bits of index 0's fields, value 0 lowest
+    head = ~guards & (1 << group.order * width) - 1
     block = len(flows) // group.order if n > 1 else 1
-    remaining = [list(row) for row in sig.counts]
     chosen: list[int] = []
     found: list[tuple[int, ...]] = []
 
-    def descend(start: int, left: int) -> None:
-        if left == 0:
-            found.append(tuple(chosen))
-            if len(found) > cap:
-                raise CapacityError(
-                    f"fiber exceeds the cap of {cap} multisets",
-                    required=len(found),
-                    cap=cap,
-                )
+    def descend(start: int, remaining: int, left: int) -> None:
+        if left == 1:
+            # the one flow left to try is the remaining counts
+            j = position.get(remaining - guards, -1)
+            if j >= start:
+                found.append((*chosen, j))
+                if len(found) > cap:
+                    message = f"fiber exceeds the cap of {cap} multisets"
+                    raise CapacityError(message, required=len(found), cap=cap)
             return
-        least = next(v for v, c in enumerate(remaining[0]) if c)
-        for j in range(max(start, least * block), min((least + 1) * block, len(flows))):
-            vals = flows[j].values
-            if all(remaining[i][v] > 0 for i, v in enumerate(vals)):
-                for i, v in enumerate(vals):
-                    remaining[i][v] -= 1
+        low = remaining & head
+        lo = ((low & -low).bit_length() - 1) // width * block
+        for j in range(start if start > lo else lo, lo + block):
+            rest = remaining - codes[j]
+            if rest & guards == guards:
                 chosen.append(j)
-                descend(j, left - 1)
+                descend(j, rest, left - 1)
                 chosen.pop()
-                for i, v in enumerate(vals):
-                    remaining[i][v] += 1
 
-    descend(0, degree)
-    return [
-        FlowMultiset(group=group, n=n, flows=tuple(flows[j] for j in combo))
-        for combo in found
-    ]
+    descend(0, counts, degree)
+    pick = flows.__getitem__
+    return [FlowMultiset(group=group, n=n, flows=tuple(map(pick, combo))) for combo in found]
 
 
 def multiset_count(group: Group, n: int, d: int) -> int:
@@ -248,11 +267,10 @@ def flow_keys(flows: Sequence[Flow], base: int) -> list[int]:
     ``base - 1``, that sum is one-to-one with the multiset's signature, and
     keys order as flat signatures do; :func:`key_signature` decodes one.
     """
-    order = flows[0].group.order
-    top = len(flows[0].values) * order - 1
-    return [
-        sum(base ** (top - i * order - v) for i, v in enumerate(f.values)) for f in flows
-    ]
+    order, n = flows[0].group.order, len(flows[0].values)
+    # per index i, per value v, the place value of coordinate i * order + v
+    powers = [[base ** ((n - i) * order - 1 - v) for v in range(order)] for i in range(n)]
+    return [sum(map(list.__getitem__, powers, f.values)) for f in flows]
 
 
 def key_signature(key: int, n: int, order: int, base: int) -> ColumnSignature:

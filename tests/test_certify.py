@@ -977,6 +977,16 @@ def test_certify_holds_one_shard_of_its_last_degree(monkeypatch, group, n, m):
     _check_unbuilt_shards_are_images_of_built_reps(degrees, reps, ids, range(1, 5))
 
 
+def test_a_witness_search_to_d_max_frees_each_shard_after_its_last_reader(monkeypatch):
+    degrees = _recording_shards(monkeypatch)
+    # moves of degree 3 suffice for Z3 on 5 leaves, so the search walks
+    # degrees 4 and 5 in full; it draws no verdict of a degree <= 3, so
+    # below degree 4 it builds only the shards that later ones read
+    assert fc.find_indispensable(Z3, 5, 3, d_max=5) is None
+    _, _, classes, _ = _key_classes(Z3, 5, 5)
+    _check_lifetimes(degrees, classes)
+
+
 def test_a_failing_degree_keeps_none_of_its_shards_from_its_first_witness(monkeypatch):
     degrees = _recording_shards(monkeypatch)
     report = fc.certify_degree(Z2xZ2, 4, 5, 3)

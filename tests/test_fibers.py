@@ -26,6 +26,7 @@ Z3 = fc.make_group([3])
 Z2xZ2 = fc.make_group([2, 2])
 Z4 = fc.make_group([4])
 Z6 = fc.make_group([6])
+Z2xZ3 = fc.make_group([2, 3])
 
 # Z2, n=6 walkthrough multisets
 M1_ROWS = [[1, 1, 1, 1, 1, 1], [0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 0, 0]]
@@ -225,16 +226,30 @@ def test_fiber_partition_covers_all_multisets(group, n_max, d_max):
             assert total == fc.multiset_count(group, n, d)
 
 
+def _up_to(*d_maxes):
+    """Per n from 1 on, every degree from 1 to that n's d_max."""
+    return {n: range(1, d_max + 1) for n, d_max in enumerate(d_maxes, 1)}
+
+
+# The targeted enumeration keeps a count in a field of
+# (degree + 1).bit_length() + 1 bits, the top one a guard: 3 bits at
+# degree 1, 4 from degree 3, 5 from degree 7; at degree 8 a count first
+# needs 4 bits.
+FIELD_WIDTHS = (1, 3, 7, 8)
+
+
 @pytest.mark.parametrize(
-    "group,d_maxes",
-    [(Z2, (4, 4, 4, 4)), (Z3, (4, 4, 4, 3)), (Z2xZ2, (4, 4, 3, 2)), (Z6, (4, 4, 3, 1))],
-    ids=["z2", "z3", "z2x2", "z6"],
+    "group,degrees",
+    [(Z2, _up_to(4, 4, 4, 4)), (Z3, _up_to(4, 4, 4, 3)), (Z2xZ2, _up_to(4, 4, 3, 2)),
+     (Z6, _up_to(4, 4, 3, 1)), (Z2, {2: FIELD_WIDTHS, 3: FIELD_WIDTHS}),
+     (Z3, {2: FIELD_WIDTHS}), (Z2xZ3, {3: (2, 3)})],
+    ids=["z2", "z3", "z2x2", "z6", "z2-field-widths", "z3-field-widths", "z2x3"],
 )
-def test_partition_and_targeted_enumeration_agree(group, d_maxes):
+def test_partition_and_targeted_enumeration_agree(group, degrees):
     # n = 1 to 4: the one flow (0,), then blocks of 1, |G| and |G|^2 flows
     # with one value at index 0, for a cyclic, a product and a composite group
-    for n, d_max in enumerate(d_maxes, 1):
-        for d in range(1, d_max + 1):
+    for n, ds in degrees.items():
+        for d in ds:
             for sig, members in fc.enumerate_all_fibers(group, n, d):
                 assert fc.enumerate_fiber(sig, group, n) == members
 
@@ -268,8 +283,11 @@ def test_sweep_rejects_n_below_one(n):
 
 def test_fiber_capacity_error():
     m1, _, _ = walkthrough_multisets()
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as err:
         fc.enumerate_fiber(fc.signature(m1), Z2, 6, cap=10)
+    # raised at the first member past the cap
+    assert err.value.required == 11
+    assert err.value.cap == 10
 
 
 def test_bad_signature_rejected():
