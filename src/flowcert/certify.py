@@ -10,7 +10,10 @@ members: the mask of a signature marks the flows whose removal leaves a
 signature one degree below, and a search over the bits of a fiber's mask
 reads the masks of that degree.  Flow symmetries that map key shards onto
 shards and keep every verdict let the sweep decide only the least shard
-of each orbit and carry its counts and witnesses to the others.  Members
+of each orbit and carry its counts and witnesses to the others.  Within
+such a shard, permuting the rows outside the shard id (the tail rows)
+fixes the shard and keeps every verdict, so only the least key of each
+tail-row orbit, its tail rows in non-decreasing order, is decided.  Members
 are built for witnesses and for the fibers past that degree, which only
 ``find_all`` reaches.  A report never claims more than the range it
 actually swept.
@@ -86,9 +89,10 @@ class FiberComponents:
 @dataclass(frozen=True)
 class DegreeStats:
     """One degree of a sweep.  ``decided_count`` fibers were decided by the
-    sweep itself and ``covered_count`` as images of a rep shard's fibers
-    under the shard symmetries; like a report's ``elapsed_ms``, the two are
-    left out of comparison, and they are left out of the report's JSON."""
+    sweep itself and ``covered_count`` as their images under the shard
+    symmetries and the tail-row permutations; like a report's
+    ``elapsed_ms``, the two are left out of comparison, and they are left
+    out of the report's JSON."""
 
     degree: int
     fiber_count: int
@@ -397,7 +401,8 @@ class _ShardOrbits:
     rep of an orbit is its least id.  The sweep builds the reps of every
     degree it walks, from ``first`` up, and the shards one degree down that
     the shards it builds read; the rep and orbit-size tables cover those
-    degrees alone.
+    degrees alone.  Within a shard, :meth:`canonical` and
+    :meth:`arrangements` read the tail rows, the rows after the shard rows.
 
     A row of counts is handled as its value, its digits in base
     d_max + 1, column 0 most significant.  For n >= 3 the shard rows of a
@@ -607,11 +612,39 @@ class _ShardOrbits:
             table.setdefault(self.image(element, rep * scale) // scale, element)
         return table
 
+    def canonical(self, d: int) -> Optional[Callable[[int], bool]]:
+        """The test that a key of K[d] is the least of its tail-row orbit,
+        or None when every key is: the keys whose tail rows, the rows after
+        the shard rows, are in non-decreasing order.
+
+        Permuting the tail rows is a bijection of the flows that fixes
+        every shard, so it keeps each shard and every verdict; the least
+        key of an orbit puts its least row first.  There is no orbit to
+        reduce with fewer than two tail rows (n <= 3).  Two rows are
+        compared directly; for more, the non-decreasing tails of the
+        degree are listed once.
+        """
+        count, scale, width = self.n - self.head, self.scale, self.width
+        if count < 2:
+            return None
+        if count == 2:
+            return lambda b: b % scale // width <= b % width
+        tails = set(map(self.join, combinations_with_replacement(self.rows[d], count)))
+        return lambda b: b % scale in tails
+
+    def arrangements(self, key: int) -> list[int]:
+        """The keys with the tail rows of the canonical key ``key`` in each
+        distinct order, ascending, so ``key`` comes first."""
+        head, tail = divmod(key, self.scale)
+        orders = set(permutations(self.split(tail, self.n - self.head)))
+        return [head * self.scale + self.join(rows) for rows in sorted(orders)]
+
 
 @dataclass
 class _Tally:
     """How the fibers of one degree were decided, counted as its verdicts
-    are drawn: by the sweep itself, or as images of a rep shard's fibers."""
+    are drawn: by the sweep itself (the canonical keys of the rep shards),
+    or as images of those."""
 
     decided: int = 0
     covered: int = 0
@@ -654,7 +687,19 @@ def _degree_verdicts(
     over by one element.  The least disconnected key is therefore a rep's,
     and met first; with ``find_all``, the keys of a degree are sorted
     before their witnesses are handed out.  An element is a bijection of
-    the flows, so this holds past the first failing degree too.  Shards
+    the flows, so this holds past the first failing degree too.
+
+    All leaves of the claw are alike, so any permutation of the rows is a
+    bijection of the flows too.  Those of the tail rows, the rows after the
+    shard rows (rows 2 and 3 for n = 4, rows 3 to n - 1 for n >= 5, none
+    for n <= 3), fix every shard.  So a rep shard decides only its
+    canonical keys, whose tail rows are in non-decreasing order
+    (:meth:`_ShardOrbits.canonical`): each is the least key of its
+    tail-row orbit.  A disconnected canonical key is followed by the other
+    keys of its orbit in ascending order, whose witnesses are built when
+    drawn, and they are carried to the rest of the rep's orbit with it.
+    The least disconnected key of a shard is canonical, so the first
+    witness is the one a search of every key finds.  Shards
     are built as the verdicts ask for them, or as a shard of K[d + 1]
     reads them, so a caller that skips the verdicts of a degree <= m builds
     only the shards that the verdicts it does consume read.  A shard of
@@ -680,11 +725,12 @@ def _degree_verdicts(
     def walk(keys: _KeySet, tally: _Tally) -> Iterator[tuple[int, Optional[Witness]]]:
         # the reps in key order: each rep's disconnected keys, then their
         # images in the other shards of its orbit
+        canonical = shards.canonical(keys.degree)
         for rep in shards.reps[keys.degree]:
             bad = []
             # one generator per rep: its frame, which holds the shard and
             # its sources, is gone before the next shard is built
-            for b, built in decide(keys, rep, tally):
+            for b, built in decide(keys, rep, canonical, tally):
                 bad.append(b)
                 yield b, built
             if bad:
@@ -694,19 +740,24 @@ def _degree_verdicts(
                             yield shards.image(element, b), None
 
     def decide(
-        keys: _KeySet, shard_id: int, tally: _Tally
+        keys: _KeySet,
+        shard_id: int,
+        canonical: Optional[Callable[[int], bool]],
+        tally: _Tally,
     ) -> Iterator[tuple[int, Optional[Witness]]]:
         nonlocal failed
         sources = keys.sources(shard_id)
         masks = keys.shard(shard_id)
-        tally.decided += len(masks)
-        tally.covered += len(masks) * (shards.size(shard_id) - 1)
+        # only the least key of each tail-row orbit is decided
+        ours = masks if canonical is None else list(filter(canonical, masks))
+        tally.decided += len(ours)
+        tally.covered += len(masks) * shards.size(shard_id) - len(ours)
         if keys.degree <= m:
             return
         # flow i's neighbours in fiber b are the mask of b - codes[i]
         below = [sources.get(h) for h in class_of]
         exact = failed in (0, keys.degree)  # every degree below is connected
-        for b in sorted(masks):
+        for b in sorted(ours):
             if exact:
                 full = masks[b]
                 reached = todo = full & -full
@@ -732,6 +783,10 @@ def _degree_verdicts(
                     keys.kept.clear()
                     keys.readers.clear()
             yield b, built
+            if canonical is not None:
+                # the rest of b's tail-row orbit, its witnesses built when drawn
+                for image in shards.arrangements(b)[1:]:
+                    yield image, None
 
     for d in range(2, d_max + 1):
         try:
@@ -770,9 +825,10 @@ def certify_degree(
     witness and reports only the first one in (degree, fiber key) order;
     ``find_all=True`` sweeps the full range and keeps every witness.
     At every degree, only the least shard of each orbit of the shard
-    symmetries is built and searched; every other shard takes its fiber and
-    disconnected counts, and its witnesses, from that rep, so the report is
-    the one a search of every fiber would give.
+    symmetries is built, and within it only the least key of each orbit of
+    the tail-row permutations is searched; every other shard and key takes
+    its fiber and disconnected counts, and its witnesses, from those, so
+    the report is the one a search of every fiber would give.
     Each :class:`DegreeStats` counts the fibers decided and those covered.
     The sweep always runs in the calling thread, whatever ``threads`` says:
     the fiber checks are pure Python and hold the GIL, and a thread pool

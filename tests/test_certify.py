@@ -5,7 +5,6 @@ import json
 import random
 import threading
 import weakref
-from collections import Counter
 from itertools import permutations, product
 from operator import add
 
@@ -820,6 +819,13 @@ def _orbit_reps(group, n, d_max):
     return out
 
 
+def _tail_sorted(key, n, scale, width):
+    """Whether the tail rows of ``key``, the rows after its shard rows,
+    are in non-decreasing order."""
+    tail = _rows_of(key % scale, n - _shard_rows(n), width)
+    return tail == sorted(tail)
+
+
 def _check_unbuilt_shards_are_images_of_built_reps(degrees, reps, ids, degree_range):
     for d in degree_range:
         built = {h for h, _, _ in degrees.get(d, ())}
@@ -919,9 +925,13 @@ def test_shards_concatenate_to_the_sorted_key_set(monkeypatch, factors, n):
             for b, mask in masks.items():
                 assert mask == sum(1 << i for i, c in enumerate(codes) if b - c in below)
         if d >= 2:
+            # the sweep decides the keys of the rep shards whose tail rows
+            # are in non-decreasing order, and covers the rest
+            width = (d_max + 1) ** group.order
+            ours = sum(_tail_sorted(k, n, scale, width) for h in decided for k in shards[h])
             stats = report.per_degree[d - 2]
             assert stats.fiber_count == len(keys)
-            assert stats.decided_count == sum(len(shards[h]) for h in decided)
+            assert (stats.decided_count, stats.covered_count) == (ours, len(keys) - ours)
 
 
 def test_witness_search_builds_only_the_shards_its_verdicts_read(monkeypatch):
@@ -1085,10 +1095,11 @@ def test_the_shard_group_keeps_key_sets_and_verdicts(factors, n):
         reps = dict(zip(shard_ids, reps))
         if d < 2:
             continue
-        # the sweep decides the rep shards and covers the others: their
-        # sizes sum to |K[d]|
-        sizes = Counter(heads)
-        decided = sum(size for h, size in sizes.items() if reps[h] == h)
+        # the sweep decides the keys of the rep shards whose tail rows are
+        # in non-decreasing order and covers the others
+        decided = sum(
+            reps[h] == h and _tail_sorted(b, n, scale, width) for b, h in zip(masks, heads)
+        )
         for report in reports:
             if len(report.per_degree) >= d - 1:
                 stats = report.per_degree[d - 2]
@@ -1148,3 +1159,92 @@ def test_a_find_all_sweep_enumerates_the_flows_of_its_fibers_once(monkeypatch):
     # of each key of their rep shards
     assert [s.disconnected_count for s in report.per_degree] == [0, 1, 9, 45]
     assert calls == [(Z3, 3)]
+
+
+@pytest.mark.parametrize(
+    "factors,n,d_max",
+    [([2], 3, 4), ([2], 4, 4), ([2], 5, 4), ([2], 6, 4), ([2], 7, 3), ([3], 4, 4),
+     ([2, 2], 4, 3), ([3], 5, 3), ([4], 4, 3)],
+)
+def test_tail_row_permutations_keep_shards_masks_and_verdicts(factors, n, d_max):
+    group = fc.make_group(factors)
+    codes, scale, _, _ = _key_classes(group, n, d_max)
+    width = (d_max + 1) ** group.order
+    s = _shard_rows(n)
+    flows = fc.enumerate_flows(group, n)
+    index = {f: i for i, f in enumerate(flows)}
+    # each permutation of the tail rows, the rows after the shard rows, as
+    # the new row of each row and the new index of each flow
+    sigmas = [tuple(range(s)) + tuple(s + j for j in p) for p in permutations(range(n - s))]
+    moved = [[index[fc.permute(f, sigma)] for f in flows] for sigma in sigmas]
+    shards = certify_module._ShardOrbits(group, n, d_max)
+    masks = {0: 0}
+    for d in range(1, d_max + 1):
+        below, masks = masks, {}
+        for k in below:
+            for i, c in enumerate(codes):
+                masks[k + c] = masks.get(k + c, 0) | 1 << i
+        parts = {b: _flow_components(b, masks[b], below, codes) for b in masks}
+        orbits = {b: set() for b in masks}
+        for sigma, new in zip(sigmas, moved):
+            for b, mask in masks.items():
+                rows = _rows_of(b, n, width)
+                placed = [0] * n
+                for i, row in enumerate(rows):
+                    placed[sigma[i]] = row
+                image = 0
+                for row in placed:
+                    image = image * width + row
+                orbits[b].add(image)
+                # K[d] onto K[d], each shard onto itself
+                assert image // scale == b // scale
+                # S(sigma b) is sigma applied to the bits of S(b)
+                assert masks[image] == sum(1 << new[i] for i in range(len(codes)) if mask >> i & 1)
+                # the verdict under the flow criterion is kept
+                assert parts[image] == parts[b]
+        # each key lies in the orbit of its least key, and the sweep takes
+        # that key, whose tail rows are in non-decreasing order, as the one
+        # it decides, and the orbit in ascending order as its arrangements
+        canonical = shards.canonical(d) or (lambda b: True)
+        for b, orbit in orbits.items():
+            assert canonical(b) == (b == min(orbit)) == _tail_sorted(b, n, scale, width)
+            if canonical(b):
+                assert shards.arrangements(b) == sorted(orbit)
+        assert (shards.canonical(d) is None) == (n <= 3)
+
+
+@pytest.mark.parametrize(
+    "group,n,d_max,m,find_all",
+    [
+        # tails of two rows (n = 4, 5), three (n = 6) and four (n = 7)
+        (Z2, 4, 5, 2, False), (Z2, 5, 5, 3, True), (Z2, 6, 4, 2, False),
+        (Z2, 7, 4, 2, False), (Z3, 4, 5, 2, True), (Z3, 4, 4, 3, False),
+        (Z3, 6, 3, 2, True), (Z3, 7, 3, 2, False), (Z2xZ2, 4, 4, 3, True),
+        (Z4, 4, 4, 2, True), (Z5, 4, 3, 2, False), (Z2xZ3, 4, 3, 2, False),
+        # past the first failing degree: no tail (n = 3) and a two-row tail
+        (Z2xZ2, 3, 5, 2, True), (Z3, 3, 5, 2, True), (Z3, 5, 4, 2, True),
+    ],
+    ids=["z2-n4", "z2-n5-all", "z2-n6", "z2-n7", "z3-n4-all", "z3-n4-m3", "z3-n6-all",
+         "z3-n7", "z2x2-n4-all", "z4-n4-all", "z5-n4", "z2x3-n4", "z2x2-n3-d5-all",
+         "z3-n3-d5-all", "z3-n5-d4-all"],
+)
+def test_deciding_one_key_per_tail_row_orbit_matches_deciding_every_key(
+    monkeypatch, group, n, d_max, m, find_all
+):
+    def sweep():
+        report = fc.certify_degree(group, n, d_max, m, find_all=find_all)
+        witness = fc.find_indispensable(group, n, m, d_max=d_max)
+        return (
+            fc.report_to_json(report, include_elapsed=False),
+            None if witness is None else fc.witness_to_json(witness),
+            [s.decided_count for s in report.per_degree],
+        )
+
+    report, witness, decided = sweep()
+    # without the tail-row symmetry, every key of a rep shard is decided
+    monkeypatch.setattr(certify_module._ShardOrbits, "canonical", lambda self, d: None)
+    every, every_witness, every_decided = sweep()
+    assert report == every
+    assert witness == every_witness
+    if n >= 4:
+        assert sum(decided) < sum(every_decided)

@@ -158,10 +158,11 @@ def test_certify_reports_fibers_decided_and_covered_by_symmetry(capsys):
     code, out, err = run(capsys, "certify", "--group", "2", "--n", "6",
                          "--dmax", "4", "--m", "2")
     assert code == EXIT_OK
-    # 333 + 1856 + 7109 fibers: the rep shards are decided, the rest covered
+    # 333 + 1856 + 7109 fibers: 18 + 35 + 161 keys of the rep shards, the least
+    # of their tail-row orbits, are decided, the rest covered
     elapsed = err.splitlines()[-1]
     assert re.fullmatch(
-        r"elapsed: \d+ ms, fibers decided 736, covered by symmetry 8562", elapsed
+        r"elapsed: \d+ ms, fibers decided 214, covered by symmetry 9084", elapsed
     )
     assert err.splitlines()[:-1] == [
         "degree 2: 333 fibers, 528 multisets, 0 disconnected",

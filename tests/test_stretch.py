@@ -94,10 +94,11 @@ def test_stretch_sweep_verified(factors, n, d_max, m, fibers, peak_mib):
 @pytest.mark.parametrize(
     "factors,n,d_max,m,fibers,disconnected,witnesses,report_sha256,peak_mib",
     [
-        # past the first failing degree, each key of a rep shard is decided
-        # from its members; 10-12 s and 25 MiB on 2-core x86-64, CPython
-        # 3.11 (44-61 s and 26 MiB when a fiber's remaining counts were
-        # lists of lists)
+        # past the first failing degree, each key of a rep shard that is
+        # the least of its tail-row orbit is decided from its members;
+        # 6.9-7.5 s and 25 MiB on 2-core x86-64, CPython 3.11 (10.4-11.6 s
+        # when every key of a rep shard was decided, 44-61 s and 26 MiB
+        # when a fiber's remaining counts were lists of lists)
         ([2, 2], 4, 5, 3, [1720, 25152, 232569, 1535232], [0, 0, 480, 3840], 4320,
          "9d58aba1d59d1c57f84d05e2064e57a709e1a5d59c49b796b79d98e1daf42d59", 48),
     ],
