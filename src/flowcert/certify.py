@@ -389,13 +389,14 @@ class _ShardOrbits:
     symmetries that map shards onto shards, and the shards the sweep builds.
 
     A shard id is the values of the shard rows, rows 0 to s - 1, row 0 the
-    most significant: s = 3 for n >= 5, s = 2 for n = 2 to 4 and s = 1 for
-    n = 1.  At n = 4 a third row would leave one free row, and shards too
-    small to pay for their builds.  An element of the group relabels every
-    row by one automorphism of G (only the identity for a product group),
-    shifts rows 0 to s - 1 by t0 to t(s-1) and row n - 1 by their negated
-    sum (for n = 2, row 1 by -t0; for n = 1, no shift), and may then
-    permute the shard rows.  Each is a bijection of the flows, so it maps
+    most significant: s = 3 for n >= 5, s = 2 for n = 3 and 4, and s = n - 1
+    below that, so row n - 1 is never a shard row.  At n = 4 a third row
+    would leave one free row, and shards too small to pay for their builds;
+    at n = 2 a shard is one key, and at n = 1 every key of a degree is in
+    shard 0.  An element of the group relabels every row by one
+    automorphism of G (only the identity for a product group), shifts rows
+    0 to s - 1 by t0 to t(s-1) and row n - 1 by their negated sum, and may
+    then permute the shard rows.  Each is a bijection of the flows, so it maps
     K[d] onto K[d] and S(b) onto S(g b), and keeps every verdict.  It moves
     the shard rows among themselves, so it maps shards onto shards.  The
     rep of an orbit is its least id.  The sweep builds the reps of every
@@ -405,9 +406,8 @@ class _ShardOrbits:
     :meth:`arrangements` read the tail rows, the rows after the shard rows.
 
     A row of counts is handled as its value, its digits in base
-    d_max + 1, column 0 most significant.  For n >= 3 the shard rows of a
-    key are any s rows of its degree; for n = 2, row 1 is row 0 negated;
-    for n = 1, the one flow is all zeros.
+    d_max + 1, column 0 most significant.  The shard rows of a key are any
+    s rows of its degree: row n - 1 takes whatever the flows need.
     """
 
     def __init__(self, group: Group, n: int, d_max: int, first: int = 2):
@@ -415,12 +415,12 @@ class _ShardOrbits:
         self.add, self.negation = add_table(group), neg_table(group)
         self.autos = automorphisms(group) if len(group.factors) == 1 else [tuple(range(q))]
         self.n, self.q, self.base, self.width = n, q, base, base**q
-        self.head = 3 if n >= 5 else min(n, 2)  # s, the shard rows
+        self.head = 3 if n >= 5 else min(n - 1, 2)  # s, the shard rows
         self.scale = self.width ** (n - self.head)  # a key's shard id is key // scale
         # per code v, the value of a row with one count at v
         self.units = units = [base ** (q - 1 - v) for v in range(q)]
         identity = tuple(range(q))
-        shifts = [self.perm(identity, t) for t in (range(q) if n > 1 else (0,))]
+        shifts = [self.perm(identity, t) for t in range(q)]
         # per degree, its row values, ascending; per row value, the row
         # values one degree down within it
         self.rows: list[list[int]] = [[0]]
@@ -455,14 +455,9 @@ class _ShardOrbits:
             # a rep's rows are each the least of their shifts, in ascending
             # order, and no other automorphism (Z2 and product groups have
             # none) gives less
-            if n == 1:
-                tops[d] = [(d * units[0],)]
-            elif n == 2:
-                tops[d] = [(r,) for r in least if self.rep(self.paired(r)) == self.paired(r)]
-            else:
-                heads = combinations_with_replacement(least, self.head)
-                tops[d] = [h for h in heads if len(self.autos) == 1 or self.least(h) == h]
-        self.reps = [list(map(self.named, level)) for level in tops]
+            heads = combinations_with_replacement(least, self.head)
+            tops[d] = [h for h in heads if len(self.autos) == 1 or self.least(h) == h]
+        self.reps = [list(map(self.join, level)) for level in tops]
         # per degree, per :meth:`top` of a shard the sweep builds, how many
         # shards it builds one degree up read it
         self.reads: list[Counter] = [Counter() for _ in self.rows]
@@ -486,33 +481,14 @@ class _ShardOrbits:
             out = out * self.width + row
         return out
 
-    def paired(self, row: int) -> int:
-        """For n = 2, the shard id whose row 0 is ``row``: row 1 is it
-        negated."""
-        return row * self.width + self.move(row, self.negation)
-
-    def ids(self, d: int) -> list[int]:
-        """The shard ids of K[d], ascending."""
-        rows = self.rows[d]
-        if self.n == 1:
-            return [d * self.base ** (self.q - 1)]
-        if self.n == 2:
-            return sorted(self.paired(r) for r in rows)
-        return [self.join(head) for head in product(rows, repeat=self.head)]
-
     def top(self, shard_id: int) -> tuple[int, ...]:
-        """The shard rows of shard ``shard_id``, only row 0 for n = 2."""
-        rows = self.split(shard_id, self.head)
-        return tuple(rows[:1] if self.n == 2 else rows)
-
-    def named(self, top: tuple[int, ...]) -> int:
-        """The shard id whose :meth:`top` is ``top``."""
-        return self.paired(*top) if self.n == 2 else self.join(top)
+        """The shard rows of shard ``shard_id``."""
+        return tuple(self.split(shard_id, self.head))
 
     def sources(self, shard_id: int) -> list[int]:
         """The shard ids one degree down that shard ``shard_id`` reads: a
         row one degree down within each of its rows, ascending."""
-        return list(map(self.named, product(*map(self.lower.__getitem__, self.top(shard_id)))))
+        return list(map(self.join, product(*map(self.lower.__getitem__, self.top(shard_id)))))
 
     def perm(self, phi: tuple[int, ...], t: int) -> tuple[int, ...]:
         """The code permutation v -> phi(v) + t."""
@@ -527,25 +503,23 @@ class _ShardOrbits:
             v -= 1
         return out
 
-    def rep(self, shard_id: int) -> int:
-        """The least id of the orbit of shard ``shard_id``.
-
-        For n >= 3 the shard rows shift independently, and a permutation
-        puts them in any order, so the rep's rows are their least values,
-        sorted, under the automorphism that gives the least id.  For n = 2
-        the rep's row 0 is the least value of either row.
-        """
-        if self.n == 1:
-            return min(self.lows[shard_id])
-        if self.n == 2:
-            r0, r1 = divmod(shard_id, self.width)
-            return self.paired(min(map(min, self.lows[r0], self.lows[r1])))
-        return self.join(self.least(self.split(shard_id, self.head)))
+    def images(self, rows: Iterable[int]) -> set[tuple[int, ...]]:
+        """Per automorphism, the least values of the shifts of the images
+        of the shard rows ``rows``, sorted.  Each is read from
+        :attr:`lows` by the automorphism's index, so zero shard rows give
+        the one empty tuple; :meth:`least` and :meth:`size` read these."""
+        lows = [self.lows[r] for r in rows]
+        return {tuple(sorted(low[a] for low in lows)) for a in range(len(self.autos))}
 
     def least(self, rows: Iterable[int]) -> tuple[int, ...]:
-        """For n >= 3, the shard rows of the rep of the shard whose shard
-        rows are ``rows``."""
-        return min(tuple(sorted(head)) for head in zip(*(self.lows[r] for r in rows)))
+        """The shard rows of the rep, the least id of the orbit, of the
+        shard whose shard rows are ``rows``.
+
+        The shard rows shift independently, and a permutation puts them in
+        any order, so the rep's rows are their least values, sorted, under
+        the automorphism that gives the least id.
+        """
+        return min(self.images(rows))
 
     def size(self, shard_id: int) -> int:
         """How many shard ids the orbit of shard ``shard_id`` holds.
@@ -557,16 +531,11 @@ class _ShardOrbits:
         the shard rows, with any value of each orbit in its row; orbits
         that an automorphism maps onto each other have equal sizes.
         """
-        if self.n == 1:
-            return 1
-        if self.n == 2:
-            r0, r1 = divmod(shard_id, self.width)
-            return len(set(self.lows[r0] + self.lows[r1])) * self.spread[self.lows[r0][0]]
-        rows = self.split(shard_id, self.head)
-        images = {tuple(sorted(head)) for head in zip(*(self.lows[r] for r in rows))}
+        rows = self.top(shard_id)
         repeats = Counter(self.lows[r][0] for r in rows).values()
         arrangements = factorial(self.head) // prod(map(factorial, repeats))
-        return len(images) * arrangements * prod(self.spread[self.lows[r][0]] for r in rows)
+        spreads = prod(self.spread[self.lows[r][0]] for r in rows)
+        return len(self.images(rows)) * arrangements * spreads
 
     def readers(self, d: int, shard_id: int) -> int:
         """How many shards of K[d + 1] that the sweep builds read shard
@@ -578,17 +547,12 @@ class _ShardOrbits:
         """Every element as (the order of the shard rows, one code
         permutation per row)."""
         n, q, add, neg, head = self.n, self.q, self.add, self.negation, self.head
-        if n == 1:
-            shifts = [(0,)]
-        elif n == 2:
-            shifts = [(t, neg[t]) for t in range(q)]
-        else:
-            shifts = []
-            for ts in product(range(q), repeat=head):
-                total = 0
-                for t in ts:
-                    total = add[total][t]
-                shifts.append(ts + (0,) * (n - head - 1) + (neg[total],))
+        shifts = []
+        for ts in product(range(q), repeat=head):
+            total = 0
+            for t in ts:
+                total = add[total][t]
+            shifts.append(ts + (0,) * (n - head - 1) + (neg[total],))
         return [
             (order, tuple(self.perm(phi, t) for t in ts))
             for phi in self.autos
@@ -691,17 +655,17 @@ def _degree_verdicts(
 
     All leaves of the claw are alike, so any permutation of the rows is a
     bijection of the flows too.  Those of the tail rows, the rows after the
-    shard rows (rows 2 and 3 for n = 4, rows 3 to n - 1 for n >= 5, none
-    for n <= 3), fix every shard.  So a rep shard decides only its
-    canonical keys, whose tail rows are in non-decreasing order
-    (:meth:`_ShardOrbits.canonical`): each is the least key of its
-    tail-row orbit.  A disconnected canonical key is followed by the other
-    keys of its orbit in ascending order, whose witnesses are built when
-    drawn, and they are carried to the rest of the rep's orbit with it.
-    The least disconnected key of a shard is canonical, so the first
-    witness is the one a search of every key finds.  Shards
-    are built as the verdicts ask for them, or as a shard of K[d + 1]
-    reads them, so a caller that skips the verdicts of a degree <= m builds
+    shard rows (rows 2 and 3 for n = 4, rows 3 to n - 1 for n >= 5, and
+    row n - 1 alone, with nothing to permute, for n <= 3), fix every
+    shard.  So a rep shard decides only its canonical keys, whose tail
+    rows are in non-decreasing order (:meth:`_ShardOrbits.canonical`):
+    each is the least key of its tail-row orbit.  A disconnected canonical
+    key is followed by the other keys of its orbit in ascending order,
+    whose witnesses are built when drawn, and they are carried to the rest
+    of the rep's orbit with it.  The least disconnected key of a shard is
+    canonical, so the first witness is the one a search of every key
+    finds.  Shards are built as the verdicts ask for them, or as a shard of
+    K[d + 1] reads them, so a caller that skips the verdicts of a degree <= m builds
     only the shards that the verdicts it does consume read.  A shard of
     K[d - 1] is freed once the last shard of K[d] that reads it and that
     the sweep builds is built, and deciding a shard holds its sources until

@@ -5,6 +5,7 @@ import json
 import random
 import threading
 import weakref
+from collections import Counter
 from itertools import permutations, product
 from operator import add
 
@@ -709,8 +710,9 @@ class _Builds(dict):
 
 def _shard_rows(n):
     """How many rows a shard id holds: rows 0 to 2 from n = 5 on, rows 0
-    and 1 for n = 2 to 4, row 0 for n = 1."""
-    return 3 if n >= 5 else min(n, 2)
+    and 1 for n = 3 and 4, and rows 0 to n - 2 below, so row n - 1 is never
+    a shard row (row 0 for n = 2, none for n = 1)."""
+    return 3 if n >= 5 else min(n - 1, 2)
 
 
 def _key_classes(group, n, d_max):
@@ -730,7 +732,7 @@ def _shard_group(group, n, base):
     """Every element of the shard group, built here from the flow actions:
     one automorphism on every index (the identity alone for a product
     group), a shift by the flow (t0, ..., t(s-1), 0, ..., 0, -t0-...-t(s-1))
-    over the s shard rows ((t0, -t0) for n = 2, none for n = 1), and a
+    over the s shard rows ((t0, -t0) for n = 2, (0,) for n = 1), and a
     permutation of the shard rows.  Each element is the move of signature
     digits it makes: (index, code) to (index, code), for every digit that
     some flow sets."""
@@ -739,17 +741,12 @@ def _shard_group(group, n, base):
         autos = fc.automorphisms(group)
     except fc.UnsupportedGroupError:
         autos = [tuple(range(q))]
-    if n == 1:
-        shifts = [(0,)]
-    elif n == 2:
-        shifts = [(t, fc.neg(group, t)) for t in range(q)]
-    else:
-        shifts = []
-        for ts in product(range(q), repeat=s):
-            total = 0
-            for t in ts:
-                total = fc.add(group, total, t)
-            shifts.append(ts + (0,) * (n - s - 1) + (fc.neg(group, total),))
+    shifts = []
+    for ts in product(range(q), repeat=s):
+        total = 0
+        for t in ts:
+            total = fc.add(group, total, t)
+        shifts.append(ts + (0,) * (n - s - 1) + (fc.neg(group, total),))
     orders = [sigma + tuple(range(s, n)) for sigma in permutations(range(s))]
     flows = fc.enumerate_flows(group, n)
     moves = []
@@ -803,19 +800,23 @@ def _placed_rows(where, rows, n, q, base):
 
 def _orbit_reps(group, n, d_max):
     """Per degree, each shard id of K[d] with the least id of its orbit
-    under :func:`_shard_group`."""
+    under :func:`_shard_group`, ascending.  The elements form a group, so
+    the least id not yet placed is the least of its orbit, which is its
+    images under every element; no two orbits overlap."""
     _, scale, _, ids = _key_classes(group, n, d_max)
     q, base = group.order, d_max + 1
     moves = _shard_group(group, n, base)
     out = []
     for level in ids:
-        rows = {h: list(enumerate(_rows_of(h, _shard_rows(n), base**q))) for h in sorted(level)}
-        reps = dict.fromkeys(rows, float("inf"))
-        for where in moves:
-            placed = _placed_rows(where, {r for h in rows for r in rows[h]}, n, q, base)
-            for h, r in rows.items():
-                reps[h] = min(reps[h], sum(placed[x] for x in r) // scale)
-        out.append(reps)
+        reps = {}
+        for h in sorted(level):
+            if h in reps:
+                continue
+            rows = list(enumerate(_rows_of(h, _shard_rows(n), base**q)))
+            for where in moves:
+                image = sum(_placed_rows(where, rows, n, q, base).values()) // scale
+                assert image in level and reps.setdefault(image, h) == h
+        out.append(dict(sorted(reps.items())))
     return out
 
 
@@ -1109,34 +1110,57 @@ def test_the_shard_group_keeps_key_sets_and_verdicts(factors, n):
                 )
 
 
+@pytest.mark.parametrize("n,d_max,m", [(1, 4, 2), (2, 5, 2), (3, 4, 2)])
+def test_isomorphic_groups_give_the_same_counts_and_verdicts(n, d_max, m):
+    # Z6 and Z2xZ3 are one group, but only the cyclic one's shard group has
+    # automorphisms besides the identity, so their sweeps decide and cover
+    # different fibers; at n = 2 the product group decides more of them
+    reports = [fc.certify_degree(group, n, d_max, m, find_all=True) for group in (Z6, Z2xZ3)]
+    counts = [
+        [(s.degree, s.fiber_count, s.multiset_count, s.disconnected_count) for s in r.per_degree]
+        for r in reports
+    ]
+    assert counts[0] == counts[1]
+    assert reports[0].verdict == reports[1].verdict
+    for report in reports:
+        assert all(s.decided_count + s.covered_count == s.fiber_count for s in report.per_degree)
+
+
 @pytest.mark.parametrize(
     "factors,n",
     [([2], n) for n in range(1, 7)] + [([3], n) for n in range(2, 6)]
-    + [([2, 2], n) for n in range(3, 6)] + [([5], 3), ([6], 2), ([2, 3], 2)],
+    + [([2, 2], n) for n in range(3, 6)] + [([5], 3), ([6], 2), ([2, 3], 2)]
+    # the layouts with fewer than two shard rows, for each kind of group
+    + [([3], 1), ([2, 2], 1), ([2, 2], 2), ([5], 1), ([5], 2), ([6], 1), ([2, 3], 1)],
 )
 def test_orbit_sizes_from_row_tables_match_the_carrier_tables(factors, n):
     group, d_max = fc.make_group(factors), 4
     shards = certify_module._ShardOrbits(group, n, d_max)
+    _, _, _, ids = _key_classes(group, n, d_max)
+    reps = _orbit_reps(group, n, d_max)
     for d in range(2, d_max + 1):
-        ids = shards.ids(d)
-        # the orbits of the reps partition the shard ids of the degree
-        assert shards.reps[d] == sorted({shards.rep(h) for h in ids})
+        # the reps are the least ids of the orbits of the brute-force group,
+        # and their orbits partition the shard ids of the degree
+        assert shards.reps[d] == sorted(h for h, rep in reps[d].items() if h == rep)
         sizes = [shards.size(rep) for rep in shards.reps[d]]
         assert sizes == [len(shards.carriers(rep)) for rep in shards.reps[d]]
-        assert sum(sizes) == len(ids)
+        counts = Counter(reps[d].values())
+        assert sizes == [counts[rep] for rep in shards.reps[d]]
+        assert sum(sizes) == len(ids[d])
 
 
 def test_the_sweep_reads_reps_only_while_it_builds_the_orbit_tables(monkeypatch):
     calls = []
-    original = certify_module._ShardOrbits.rep
+    original = certify_module._ShardOrbits.least
 
-    def counting(self, shard_id):
-        calls.append(shard_id)
-        return original(self, shard_id)
+    def counting(self, rows):
+        calls.append(rows)
+        return original(self, rows)
 
-    monkeypatch.setattr(certify_module._ShardOrbits, "rep", counting)
+    monkeypatch.setattr(certify_module._ShardOrbits, "least", counting)
     certify_module._ShardOrbits(Z5, 3, 5)
     tables = len(calls)
+    assert tables
     calls.clear()
     report = fc.certify_degree(Z5, 3, 5, 3, find_all=True)
     assert report.per_degree[-1].disconnected_count
