@@ -271,24 +271,6 @@ def fiber_connected_under(fiber: Iterable[FlowMultiset], m: int) -> FiberCompone
     )
 
 
-def _fiber_verdict(
-    item: tuple[ColumnSignature, list[FlowMultiset]], m: int
-) -> tuple[ColumnSignature, int, Optional[tuple[FlowMultiset, FlowMultiset]]]:
-    """The sweep's check of one fiber: (signature, size, witness pair or None).
-
-    Takes fibers as :func:`enumerate_fiber` builds them and checks nothing
-    again: every member was built to have the fiber's signature, and
-    members come in ascending key order.  The first two components decide
-    connectivity, and their roots are the lowest member of each of the two
-    lowest components, as :func:`fiber_connected_under` would order them.
-    """
-    sig, fiber = item
-    comps = _SubmultisetIndex(fiber, m).components()
-    next(comps)
-    second = next(comps, None)
-    return sig, len(fiber), None if second is None else (fiber[0], fiber[second[0]])
-
-
 def _check_sweep(n: int, d_max: int, m: int, sweep_cap: int) -> tuple[int, int, int, int]:
     """The sweep's arguments as ints, checked for every caller; ``n < 1``
     raises :class:`ShapeError` when the first degree is sized."""
@@ -305,12 +287,20 @@ def _check_sweep(n: int, d_max: int, m: int, sweep_cap: int) -> tuple[int, int, 
 def _key_witness(
     group: Group, n: int, d: int, key: int, base: int, m: int, sweep_cap: int
 ) -> Optional[Witness]:
-    """The witness of the fiber ``key``, or None if it is connected, from
-    its members and their components.  The sweep made the key, so the
-    signature is not checked again."""
+    """The witness of the fiber ``key``, or None if it is connected.
+
+    The sweep made the key, so the signature is not checked again, and
+    :func:`_enumerate_members` builds the members in ascending key order.
+    The first two components decide connectivity, and their roots are the
+    lowest member of each of the two lowest components, as
+    :func:`fiber_connected_under` would order them.
+    """
     sig = key_signature(key, n, group.order, base)
-    pair = _fiber_verdict((sig, _enumerate_members(sig, group, n, d, sweep_cap)), m)[2]
-    return None if pair is None else Witness(d, sig, *pair)
+    fiber = _enumerate_members(sig, group, n, d, sweep_cap)
+    comps = _SubmultisetIndex(fiber, m).components()
+    next(comps)
+    second = next(comps, None)
+    return None if second is None else Witness(d, sig, fiber[0], fiber[second[0]])
 
 
 class _KeySet:
@@ -324,10 +314,10 @@ class _KeySet:
     b - f lies in shard H - (class of f) of K[d - 1], so shard H is every
     flow of class h added to shard H - h of K[d - 1], over all classes h.
 
-    ``classes`` maps each class to its flows as (key, bit) pairs.  While
-    ``keep`` holds, a built shard is kept until the last shard one degree
-    up that reads it and that the sweep builds, as ``shards`` counts them,
-    is built.  K[0] is the one key 0, whose mask is empty.
+    ``classes`` maps each class to its flows as (key, bit) pairs.  A built
+    shard is kept until the last shard one degree up that reads it and
+    that the sweep builds, as ``shards`` counts them, is built.  K[0] is
+    the one key 0, whose mask is empty.
     """
 
     def __init__(
@@ -335,9 +325,8 @@ class _KeySet:
         below: Optional[_KeySet],
         classes: dict[int, list[tuple[int, int]]],
         shards: _ShardOrbits,
-        keep: bool,
     ):
-        self.below, self.classes, self.shards, self.keep = below, classes, shards, keep
+        self.below, self.classes, self.shards = below, classes, shards
         self.degree = 0 if below is None else below.degree + 1
         self.kept: dict[int, dict[int, int]] = {}
         # per kept shard, its readers not built yet
@@ -366,7 +355,7 @@ class _KeySet:
         masks = self.kept.get(shard_id)
         if masks is None:
             masks = self.build(shard_id)
-            readers = self.shards.readers(self.degree, shard_id) if self.keep else 0
+            readers = self.shards.readers(self.degree, shard_id)
             if readers:
                 self.kept[shard_id] = masks
                 self.readers[shard_id] = readers
@@ -394,10 +383,11 @@ class _ShardOrbits:
     would leave one free row, and shards too small to pay for their builds;
     at n = 2 a shard is one key, and at n = 1 every key of a degree is in
     shard 0.  An element of the group relabels every row by one
-    automorphism of G (only the identity for a product group), shifts rows
-    0 to s - 1 by t0 to t(s-1) and row n - 1 by their negated sum, and may
-    then permute the shard rows.  Each is a bijection of the flows, so it maps
-    K[d] onto K[d] and S(b) onto S(g b), and keeps every verdict.  It moves
+    automorphism of G (for a product group, the identity or negation, an
+    automorphism of every abelian group), shifts rows 0 to s - 1 by t0 to
+    t(s-1) and row n - 1 by their negated sum, and may then permute the
+    shard rows.  Each is a bijection of the flows, so it maps K[d] onto
+    K[d] and S(b) onto S(g b), and keeps every verdict.  It moves
     the shard rows among themselves, so it maps shards onto shards.  The
     rep of an orbit is its least id.  The sweep builds the reps of every
     degree it walks, from ``first`` up, and the shards one degree down that
@@ -413,13 +403,16 @@ class _ShardOrbits:
     def __init__(self, group: Group, n: int, d_max: int, first: int = 2):
         q, base = group.order, d_max + 1
         self.add, self.negation = add_table(group), neg_table(group)
-        self.autos = automorphisms(group) if len(group.factors) == 1 else [tuple(range(q))]
+        identity = tuple(range(q))
+        if len(group.factors) == 1:
+            self.autos = automorphisms(group)
+        else:
+            self.autos = list(dict.fromkeys([identity, self.negation]))
         self.n, self.q, self.base, self.width = n, q, base, base**q
         self.head = 3 if n >= 5 else min(n - 1, 2)  # s, the shard rows
         self.scale = self.width ** (n - self.head)  # a key's shard id is key // scale
         # per code v, the value of a row with one count at v
         self.units = units = [base ** (q - 1 - v) for v in range(q)]
-        identity = tuple(range(q))
         shifts = [self.perm(identity, t) for t in range(q)]
         # per degree, its row values, ascending; per row value, the row
         # values one degree down within it
@@ -453,8 +446,7 @@ class _ShardOrbits:
             for r in rows:
                 self.lows[r] = (low[r],) + tuple(low[self.move(r, phi)] for phi in self.autos[1:])
             # a rep's rows are each the least of their shifts, in ascending
-            # order, and no other automorphism (Z2 and product groups have
-            # none) gives less
+            # order, and no other automorphism (Z2^k has none) gives less
             heads = combinations_with_replacement(least, self.head)
             tops[d] = [h for h in heads if len(self.autos) == 1 or self.least(h) == h]
         self.reps = [list(map(self.join, level)) for level in tops]
@@ -666,11 +658,11 @@ def _degree_verdicts(
     canonical, so the first witness is the one a search of every key
     finds.  Shards are built as the verdicts ask for them, or as a shard of
     K[d + 1] reads them, so a caller that skips the verdicts of a degree <= m builds
-    only the shards that the verdicts it does consume read.  A shard of
-    K[d - 1] is freed once the last shard of K[d] that reads it and that
-    the sweep builds is built, and deciding a shard holds its sources until
-    its last fiber.  The sweep keeps K[d] for the next degree, unless d is
-    d_max or, without ``find_all``, one of its fibers is disconnected.
+    only the shards that the verdicts it does consume read.  A shard is
+    kept as :class:`_KeySet` says, and deciding a shard holds its sources
+    until its last fiber.  Without ``find_all`` no degree past the first
+    disconnected fiber is swept, so that fiber frees its degree's shards
+    and clears the degree's reader counts.
     """
     base = d_max + 1
     failed = 0  # the first degree with a disconnected fiber
@@ -743,7 +735,7 @@ def _degree_verdicts(
                 failed = keys.degree
                 if not find_all:
                     # no later degree reads K[d]
-                    keys.keep = False
+                    shards.reads[keys.degree].clear()
                     keys.kept.clear()
                     keys.readers.clear()
             yield b, built
@@ -766,8 +758,8 @@ def _degree_verdicts(
             classes: dict[int, list[tuple[int, int]]] = {}
             for i, c in enumerate(codes):
                 classes.setdefault(class_of[i], []).append((c, 1 << i))
-            keys = _KeySet(_KeySet(None, classes, shards, True), classes, shards, True)
-        keys = _KeySet(keys, classes, shards, d < d_max)
+            keys = _KeySet(_KeySet(None, classes, shards), classes, shards)
+        keys = _KeySet(keys, classes, shards)
         tally = _Tally()
         yield d, total, tally, verdicts(keys, tally)
 

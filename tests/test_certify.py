@@ -14,7 +14,7 @@ import pytest
 import flowcert as fc
 import flowcert.certify as certify_module
 import flowcert.fibers as fibers_module
-from flowcert.certify import _fiber_verdict, _SubmultisetIndex
+from flowcert.certify import _key_witness, _SubmultisetIndex
 from flowcert.errors import (
     CapacityError,
     IncompatibilityError,
@@ -22,7 +22,7 @@ from flowcert.errors import (
     PreconditionError,
     ShapeError,
 )
-from flowcert.fibers import flow_keys
+from flowcert.fibers import DEFAULT_SWEEP_CAP, flow_keys
 from oracles import edge_components, reference_move_path
 
 Z2 = fc.make_group([2])
@@ -185,11 +185,11 @@ def test_certify_parameter_validation():
 def test_certify_checks_fibers_in_the_calling_thread(monkeypatch):
     callers = set()
 
-    def recording(item, m):
+    def recording(*args):
         callers.add(threading.get_ident())
-        return _fiber_verdict(item, m)
+        return _key_witness(*args)
 
-    monkeypatch.setattr(certify_module, "_fiber_verdict", recording)
+    monkeypatch.setattr(certify_module, "_key_witness", recording)
     fc.certify_degree(Z3, 3, 4, 2, find_all=True, threads=4)
     assert callers == {threading.get_ident()}
 
@@ -342,16 +342,20 @@ def test_witness_from_json_rejects_impossible_witnesses():
 
 
 def test_fiber_verdict_is_threadsafe_shape():
-    # helper contract: (signature, size, None or (member 0, first member
-    # outside member 0's component)) on a fiber in ascending key order
+    # helper contract: the witness of a fiber key is member 0 and the first
+    # member outside member 0's component, in ascending key order, and a
+    # connected fiber, a singleton among them, has none
     sig = fc.ColumnSignature(counts=WITNESS_Z3_N3["signature"])
     fiber = fc.enumerate_fiber(sig, Z3, 3)
-    got_sig, size, pair = _fiber_verdict((sig, fiber), 2)
-    assert got_sig == sig and size == 3
-    assert pair == (fiber[0], fiber[1])
-    assert _fiber_verdict((sig, fiber), 3) == (sig, 3, None)
-    single = fc.make_multiset([fc.make_flow(Z3, [0, 1, 2])])
-    assert _fiber_verdict((fc.signature(single), [single]), 2)[1:] == (1, None)
+    key = sum(flow_keys(fiber[0].flows, 4))
+    assert len(fiber) == 3
+    got = _key_witness(Z3, 3, 3, key, 4, 2, DEFAULT_SWEEP_CAP)
+    assert got == fc.Witness(3, sig, fiber[0], fiber[1])
+    assert _key_witness(Z3, 3, 3, key, 4, 3, DEFAULT_SWEEP_CAP) is None
+    member = fc.make_multiset([fc.make_flow(Z3, [0, 1, 2])])
+    single = fc.signature(member)
+    assert fc.enumerate_fiber(single, Z3, 3) == [member]
+    assert _key_witness(Z3, 3, 1, sum(flow_keys(member.flows, 4)), 4, 2, DEFAULT_SWEEP_CAP) is None
 
 
 @pytest.mark.parametrize(
@@ -363,11 +367,14 @@ def test_fiber_verdict_is_threadsafe_shape():
     ids=["z3-n3-m2", "z3-n3-m3", "z3-n4-m2", "z2x2-n3-m2", "z2x2-n3-m3"],
 )
 def test_fiber_verdict_matches_components(group, n, d_max, m):
+    # the sweep's check of one key against the components of its fiber
+    base = d_max + 1
     for d in range(2, d_max + 1):
         for sig, fiber in fc.enumerate_all_fibers(group, n, d):
             comps = fc.fiber_connected_under(fiber, m).components
-            expected = None if len(comps) == 1 else (comps[0][0], comps[1][0])
-            assert _fiber_verdict((sig, fiber), m) == (sig, len(fiber), expected)
+            expected = None if len(comps) == 1 else fc.Witness(d, sig, comps[0][0], comps[1][0])
+            key = sum(flow_keys(fiber[0].flows, base))
+            assert _key_witness(group, n, d, key, base, m, DEFAULT_SWEEP_CAP) == expected
 
 
 def test_fiber_connected_under_ignores_member_order():
@@ -730,17 +737,18 @@ def _key_classes(group, n, d_max):
 
 def _shard_group(group, n, base):
     """Every element of the shard group, built here from the flow actions:
-    one automorphism on every index (the identity alone for a product
-    group), a shift by the flow (t0, ..., t(s-1), 0, ..., 0, -t0-...-t(s-1))
-    over the s shard rows ((t0, -t0) for n = 2, (0,) for n = 1), and a
-    permutation of the shard rows.  Each element is the move of signature
-    digits it makes: (index, code) to (index, code), for every digit that
-    some flow sets."""
+    one automorphism on every index (a cyclic group's units; the identity
+    and negation for a product group), a shift by the flow
+    (t0, ..., t(s-1), 0, ..., 0, -t0-...-t(s-1)) over the s shard rows
+    ((t0, -t0) for n = 2, (0,) for n = 1), and a permutation of the shard
+    rows.  Each element is the move of signature digits it makes: (index,
+    code) to (index, code), for every digit that some flow sets."""
     q, s = group.order, _shard_rows(n)
     try:
         autos = fc.automorphisms(group)
     except fc.UnsupportedGroupError:
-        autos = [tuple(range(q))]
+        negation = tuple(fc.neg(group, v) for v in range(q))
+        autos = list(dict.fromkeys([tuple(range(q)), negation]))
     shifts = []
     for ts in product(range(q), repeat=s):
         total = 0
@@ -1112,12 +1120,16 @@ def test_the_shard_group_keeps_key_sets_and_verdicts(factors, n):
 
 @pytest.mark.parametrize("n,d_max,m", [(1, 4, 2), (2, 5, 2), (3, 4, 2)])
 def test_isomorphic_groups_give_the_same_counts_and_verdicts(n, d_max, m):
-    # Z6 and Z2xZ3 are one group, but only the cyclic one's shard group has
-    # automorphisms besides the identity, so their sweeps decide and cover
-    # different fibers; at n = 2 the product group decides more of them
+    # Z6 and Z2xZ3 are one group, and both shard groups relabel by the
+    # identity and negation, so their sweeps also decide and cover as many
+    # fibers
     reports = [fc.certify_degree(group, n, d_max, m, find_all=True) for group in (Z6, Z2xZ3)]
     counts = [
-        [(s.degree, s.fiber_count, s.multiset_count, s.disconnected_count) for s in r.per_degree]
+        [
+            (s.degree, s.fiber_count, s.multiset_count, s.disconnected_count,
+             s.decided_count, s.covered_count)
+            for s in r.per_degree
+        ]
         for r in reports
     ]
     assert counts[0] == counts[1]
@@ -1131,7 +1143,9 @@ def test_isomorphic_groups_give_the_same_counts_and_verdicts(n, d_max, m):
     [([2], n) for n in range(1, 7)] + [([3], n) for n in range(2, 6)]
     + [([2, 2], n) for n in range(3, 6)] + [([5], 3), ([6], 2), ([2, 3], 2)]
     # the layouts with fewer than two shard rows, for each kind of group
-    + [([3], 1), ([2, 2], 1), ([2, 2], 2), ([5], 1), ([5], 2), ([6], 1), ([2, 3], 1)],
+    + [([3], 1), ([2, 2], 1), ([2, 2], 2), ([5], 1), ([5], 2), ([6], 1), ([2, 3], 1)]
+    # product groups with elements of order > 2, whose negation moves keys
+    + [([3, 3], 2), ([3, 3], 3), ([2, 4], 3)],
 )
 def test_orbit_sizes_from_row_tables_match_the_carrier_tables(factors, n):
     group, d_max = fc.make_group(factors), 4
