@@ -1,37 +1,24 @@
 """Exhaustive fiber-graph connectivity checks and degree certification.
 
 Within one fiber, two multisets are one move of degree <= m apart exactly
-when they share at least d - m members.  The sweep decides every fiber of
-every degree in [2, d_max] and aggregates a report; a disconnected fiber
-yields a witness pair proving that moves of degree <= m do not suffice at
-that degree.  Up to and including the first degree with a disconnected
-fiber, each fiber is decided from flow masks, without building its
-members: the mask of a signature marks the flows whose removal leaves a
-signature one degree below, and a search over the bits of a fiber's mask
-reads the masks of that degree.  Flow symmetries that map key shards onto
-shards and keep every verdict let the sweep decide only the least shard
-of each orbit and carry its counts and witnesses to the others.  Within
-such a shard, permuting the rows outside the shard id (the tail rows)
-fixes the shard and keeps every verdict, so only the least key of each
-tail-row orbit, its tail rows in non-decreasing order, is decided.  Members
-are built for witnesses and for the fibers past that degree, which only
-``find_all`` reaches.  A report never claims more than the range it
-actually swept.
+when they share at least d - m members.  :func:`certify_degree` decides
+every fiber of every degree in [2, d_max] with the sweep of
+:mod:`flowcert.sweep` and aggregates a report; a disconnected fiber yields
+a witness pair proving that moves of degree <= m do not suffice at that
+degree.  A report never claims more than the range it actually swept.
+The checks of single fibers (adjacency, components and shortest move
+paths) and the JSON forms of witnesses and reports live here too.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
-from functools import cached_property, partial
-from itertools import chain, combinations, combinations_with_replacement, permutations, product
-from math import factorial, prod
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional
+from dataclasses import dataclass, field, fields
+from itertools import combinations
+from typing import Callable, Iterable, Optional
 
 from .errors import (
-    CapacityError,
     IncompatibilityError,
     InvalidFiberError,
     PreconditionError,
@@ -40,34 +27,20 @@ from .errors import (
 from .fibers import (
     DEFAULT_FIBER_CAP,
     DEFAULT_SWEEP_CAP,
-    ColumnSignature,
     FlowMultiset,
     check_fiber,
     compatible,
-    _enumerate_members,
     enumerate_all_fibers,  # unused here; bench/tracing.py wraps certify.enumerate_all_fibers
     enumerate_fiber,
-    flow_keys,
-    flows_on,
-    key_signature,
     make_multiset,
     multiset_from_rows,
     multiset_to_rows,
     signature,
     signature_from_json,
-    sweep_size,
 )
-from .groups import (
-    Group,
-    add_table,
-    automorphisms,
-    group_from_json,
-    group_to_json,
-    json_fields,
-    neg_table,
-    strict_int,
-)
+from .groups import Group, group_from_json, group_to_json, json_fields, strict_int
 from .moves import Move
+from .sweep import Witness, _degree_verdicts, _multiset_key, _SubmultisetIndex
 
 
 @dataclass(frozen=True)
@@ -109,16 +82,6 @@ class DegreeStats:
 
 
 @dataclass(frozen=True)
-class Witness:
-    """Two multisets of one fiber lying in distinct components."""
-
-    degree: int
-    signature: ColumnSignature
-    first: FlowMultiset
-    second: FlowMultiset
-
-
-@dataclass(frozen=True)
 class CertificationReport:
     group: Group
     n: int
@@ -129,10 +92,6 @@ class CertificationReport:
     verdict: str
     statement: str
     elapsed_ms: int = field(compare=False, default=0)
-
-
-def _multiset_key(ms: FlowMultiset) -> tuple[tuple[int, ...], ...]:
-    return tuple(f.values for f in ms.flows)
 
 
 def _check_move_bound(m: int, least: int = 2) -> int:
@@ -199,59 +158,6 @@ def fiber_edges_generative(fiber: list[FlowMultiset], m: int) -> list[tuple[int,
     return sorted(edges)
 
 
-class _SubmultisetIndex:
-    """The adjacency of one fiber under moves of degree <= m, as a hash index.
-
-    Two members of a degree-d fiber are one move apart exactly when they
-    share at least d - m flows, that is, when they share some (d - m)-element
-    sub-multiset.  The index maps each such sub-multiset to the members
-    containing it, so a member's neighbours are the union of its buckets.
-    When m >= d every pair is adjacent: the one key is the empty sub-multiset.
-    """
-
-    def __init__(self, fiber: list[FlowMultiset], m: int):
-        need = max(fiber[0].degree - m, 0)
-        self.subs = [tuple(combinations(_multiset_key(ms), need)) for ms in fiber]
-        self.buckets: dict[tuple, list[int]] = {}
-        for idx, subs in enumerate(self.subs):
-            for sub in subs:
-                self.buckets.setdefault(sub, []).append(idx)
-
-    def take(self, idx: int) -> list[int]:
-        """Members adjacent to ``idx`` through buckets no earlier call took.
-
-        Each bucket is handed out once.  A traversal visits every member of
-        a bucket the first time it takes it, so later takes need not repeat
-        it; this keeps a whole traversal linear in the size of the index.
-        """
-        out: list[int] = []
-        for sub in self.subs[idx]:
-            out.extend(self.buckets.pop(sub, ()))
-        return out
-
-    def components(self) -> Iterator[list[int]]:
-        """Positions of each component, lowest member first, in order of
-        their lowest members: the one traversal that labels components.
-
-        Each reach starts at the lowest member not yet reached.  Buckets
-        taken by one reach are gone, so later reaches find only other
-        components.
-        """
-        seen = [False] * len(self.subs)
-        for root in range(len(seen)):
-            if seen[root]:
-                continue
-            seen[root] = True
-            comp, stack = [root], [root]
-            while stack:
-                for j in self.take(stack.pop()):
-                    if not seen[j]:
-                        seen[j] = True
-                        comp.append(j)
-                        stack.append(j)
-            yield comp
-
-
 def fiber_connected_under(fiber: Iterable[FlowMultiset], m: int) -> FiberComponents:
     """Decompose one fiber into components under moves of degree <= m.
 
@@ -282,486 +188,6 @@ def _check_sweep(n: int, d_max: int, m: int, sweep_cap: int) -> tuple[int, int, 
     if sweep_cap < 1:
         raise PreconditionError(f"sweep_cap must be >= 1, got {sweep_cap}")
     return strict_int(n, ShapeError, "n"), d_max, m, sweep_cap
-
-
-def _key_witness(
-    group: Group, n: int, d: int, key: int, base: int, m: int, sweep_cap: int
-) -> Optional[Witness]:
-    """The witness of the fiber ``key``, or None if it is connected.
-
-    The sweep made the key, so the signature is not checked again, and
-    :func:`_enumerate_members` builds the members in ascending key order.
-    The first two components decide connectivity, and their roots are the
-    lowest member of each of the two lowest components, as
-    :func:`fiber_connected_under` would order them.
-    """
-    sig = key_signature(key, n, group.order, base)
-    fiber = _enumerate_members(sig, group, n, d, sweep_cap)
-    comps = _SubmultisetIndex(fiber, m).components()
-    next(comps)
-    second = next(comps, None)
-    return None if second is None else Witness(d, sig, fiber[0], fiber[second[0]])
-
-
-class _KeySet:
-    """K[d], the keys of one degree d, as shards built on demand.
-
-    A key's shard id is the digits of its shard rows, ``key // scale``.
-    Those are its most significant digits, so the shards, each sorted and
-    taken in ascending order of their ids, are sorted K[d].  A shard maps
-    each key b to its flow mask S(b), whose bit i is set when b minus the
-    key of flow i is in K[d - 1].  A flow's class is its own shard id, and
-    b - f lies in shard H - (class of f) of K[d - 1], so shard H is every
-    flow of class h added to shard H - h of K[d - 1], over all classes h.
-
-    ``classes`` maps each class to its flows as (key, bit) pairs.  A built
-    shard is kept until the last shard one degree up that reads it and
-    that the sweep builds, as ``shards`` counts them, is built.  K[0] is
-    the one key 0, whose mask is empty.
-    """
-
-    def __init__(
-        self,
-        below: Optional[_KeySet],
-        classes: dict[int, list[tuple[int, int]]],
-        shards: _ShardOrbits,
-    ):
-        self.below, self.classes, self.shards = below, classes, shards
-        self.degree = 0 if below is None else below.degree + 1
-        self.kept: dict[int, dict[int, int]] = {}
-        # per kept shard, its readers not built yet
-        self.readers: dict[int, int] = {}
-        if below is None:
-            self.kept[0] = {0: 0}
-            self.readers[0] = shards.readers(0, 0)
-
-    def sources(self, shard_id: int) -> dict[int, dict[int, int]]:
-        """The shards of K[d - 1] that shard ``shard_id`` reads, by class."""
-        below = self.below
-        return {shard_id - s: below.shard(s) for s in self.shards.sources(shard_id)}
-
-    def build(self, shard_id: int) -> dict[int, int]:
-        """Shard ``shard_id``, built from its sources and kept nowhere."""
-        masks: dict[int, int] = {}
-        get = masks.get
-        for h, keys in self.sources(shard_id).items():
-            for c, bit in self.classes[h]:
-                for k in keys:
-                    key = k + c
-                    masks[key] = get(key, 0) | bit
-        return masks
-
-    def shard(self, shard_id: int) -> dict[int, int]:
-        masks = self.kept.get(shard_id)
-        if masks is None:
-            masks = self.build(shard_id)
-            readers = self.shards.readers(self.degree, shard_id)
-            if readers:
-                self.kept[shard_id] = masks
-                self.readers[shard_id] = readers
-            for h in self.classes:
-                self.below.release(shard_id - h)
-        return masks
-
-    def release(self, shard_id: int) -> None:
-        """Count one reader of shard ``shard_id`` as built; after the last,
-        free the shard."""
-        left = self.readers.pop(shard_id, 0)
-        if left > 1:
-            self.readers[shard_id] = left - 1
-        elif left:
-            del self.kept[shard_id]
-
-
-class _ShardOrbits:
-    """The shard ids of each K[d] up to d_max, their orbits under the flow
-    symmetries that map shards onto shards, and the shards the sweep builds.
-
-    A shard id is the values of the shard rows, rows 0 to s - 1, row 0 the
-    most significant: s = 3 for n >= 5, s = 2 for n = 3 and 4, and s = n - 1
-    below that, so row n - 1 is never a shard row.  At n = 4 a third row
-    would leave one free row, and shards too small to pay for their builds;
-    at n = 2 a shard is one key, and at n = 1 every key of a degree is in
-    shard 0.  An element of the group relabels every row by one
-    automorphism of G (for a product group, the identity or negation, an
-    automorphism of every abelian group), shifts rows 0 to s - 1 by t0 to
-    t(s-1) and row n - 1 by their negated sum, and may then permute the
-    shard rows.  Each is a bijection of the flows, so it maps K[d] onto
-    K[d] and S(b) onto S(g b), and keeps every verdict.  It moves
-    the shard rows among themselves, so it maps shards onto shards.  The
-    rep of an orbit is its least id.  The sweep builds the reps of every
-    degree it walks, from ``first`` up, and the shards one degree down that
-    the shards it builds read; the rep and orbit-size tables cover those
-    degrees alone.  Within a shard, :meth:`canonical` and
-    :meth:`arrangements` read the tail rows, the rows after the shard rows.
-
-    A row of counts is handled as its value, its digits in base
-    d_max + 1, column 0 most significant.  The shard rows of a key are any
-    s rows of its degree: row n - 1 takes whatever the flows need.
-    """
-
-    def __init__(self, group: Group, n: int, d_max: int, first: int = 2):
-        q, base = group.order, d_max + 1
-        self.add, self.negation = add_table(group), neg_table(group)
-        identity = tuple(range(q))
-        if len(group.factors) == 1:
-            self.autos = automorphisms(group)
-        else:
-            self.autos = list(dict.fromkeys([identity, self.negation]))
-        self.n, self.q, self.base, self.width = n, q, base, base**q
-        self.head = 3 if n >= 5 else min(n - 1, 2)  # s, the shard rows
-        self.scale = self.width ** (n - self.head)  # a key's shard id is key // scale
-        # per code v, the value of a row with one count at v
-        self.units = units = [base ** (q - 1 - v) for v in range(q)]
-        shifts = [self.perm(identity, t) for t in range(q)]
-        # per degree, its row values, ascending; per row value, the row
-        # values one degree down within it
-        self.rows: list[list[int]] = [[0]]
-        self.lower: dict[int, list[int]] = {}
-        # per row value, for each automorphism, the least value of the
-        # shifts of its image, and per least value, how many values its
-        # shifts take: the tables that rep tests and orbit sizes read
-        self.lows: dict[int, tuple[int, ...]] = {}
-        self.spread: dict[int, int] = {}
-        # per degree, the :meth:`top` of each rep, ascending
-        tops: list[list[tuple[int, ...]]] = [[]]
-        for d in range(1, d_max + 1):
-            below = set(self.rows[-1])
-            rows = sorted({r + u for r in below for u in units})
-            self.rows.append(rows)
-            for r in rows:
-                self.lower[r] = [r - u for u in units if r - u in below]
-            tops.append([])
-            if d < first:
-                continue
-            # the least row of each shift orbit is met first
-            least, low = [], {}
-            for r in rows:
-                if r not in low:
-                    least.append(r)
-                    orbit = dict.fromkeys(self.move(r, t) for t in shifts)
-                    low.update(dict.fromkeys(orbit, r))
-                    self.spread[r] = len(orbit)
-            # autos[0] is the identity
-            for r in rows:
-                self.lows[r] = (low[r],) + tuple(low[self.move(r, phi)] for phi in self.autos[1:])
-            # a rep's rows are each the least of their shifts, in ascending
-            # order, and no other automorphism (Z2^k has none) gives less
-            heads = combinations_with_replacement(least, self.head)
-            tops[d] = [h for h in heads if len(self.autos) == 1 or self.least(h) == h]
-        self.reps = [list(map(self.join, level)) for level in tops]
-        # per degree, per :meth:`top` of a shard the sweep builds, how many
-        # shards it builds one degree up read it
-        self.reads: list[Counter] = [Counter() for _ in self.rows]
-        above: Iterable[tuple[int, ...]] = ()
-        lower = self.lower.__getitem__
-        for d in range(d_max, -1, -1):
-            self.reads[d].update(chain.from_iterable(product(*map(lower, top)) for top in above))
-            above = self.reads[d].keys() | tops[d]
-
-    def split(self, number: int, count: int) -> list[int]:
-        """The ``count`` rows of ``number``, row 0 first."""
-        rows, width = [0] * count, self.width
-        for i in range(count - 1, -1, -1):
-            number, rows[i] = divmod(number, width)
-        return rows
-
-    def join(self, rows: Iterable[int]) -> int:
-        """The number whose rows are ``rows``, row 0 first."""
-        out = 0
-        for row in rows:
-            out = out * self.width + row
-        return out
-
-    def top(self, shard_id: int) -> tuple[int, ...]:
-        """The shard rows of shard ``shard_id``."""
-        return tuple(self.split(shard_id, self.head))
-
-    def sources(self, shard_id: int) -> list[int]:
-        """The shard ids one degree down that shard ``shard_id`` reads: a
-        row one degree down within each of its rows, ascending."""
-        return list(map(self.join, product(*map(self.lower.__getitem__, self.top(shard_id)))))
-
-    def perm(self, phi: tuple[int, ...], t: int) -> tuple[int, ...]:
-        """The code permutation v -> phi(v) + t."""
-        return tuple(self.add[t][phi[v]] for v in range(self.q))
-
-    def move(self, value: int, perm: tuple[int, ...]) -> int:
-        """The value of the row ``value`` with column v moved to perm[v]."""
-        out, base, units, v = 0, self.base, self.units, self.q - 1
-        while value:
-            value, c = divmod(value, base)
-            out += c * units[perm[v]]
-            v -= 1
-        return out
-
-    def images(self, rows: Iterable[int]) -> set[tuple[int, ...]]:
-        """Per automorphism, the least values of the shifts of the images
-        of the shard rows ``rows``, sorted.  Each is read from
-        :attr:`lows` by the automorphism's index, so zero shard rows give
-        the one empty tuple; :meth:`least` and :meth:`size` read these."""
-        lows = [self.lows[r] for r in rows]
-        return {tuple(sorted(low[a] for low in lows)) for a in range(len(self.autos))}
-
-    def least(self, rows: Iterable[int]) -> tuple[int, ...]:
-        """The shard rows of the rep, the least id of the orbit, of the
-        shard whose shard rows are ``rows``.
-
-        The shard rows shift independently, and a permutation puts them in
-        any order, so the rep's rows are their least values, sorted, under
-        the automorphism that gives the least id.
-        """
-        return min(self.images(rows))
-
-    def size(self, shard_id: int) -> int:
-        """How many shard ids the orbit of shard ``shard_id`` holds.
-
-        Each automorphism puts the shard rows in shift orbits, named by
-        their least values; two automorphisms that give the same multiset
-        of orbits reach the same ids, and otherwise none in common.  The
-        ids one of them reaches are every arrangement of its orbits over
-        the shard rows, with any value of each orbit in its row; orbits
-        that an automorphism maps onto each other have equal sizes.
-        """
-        rows = self.top(shard_id)
-        repeats = Counter(self.lows[r][0] for r in rows).values()
-        arrangements = factorial(self.head) // prod(map(factorial, repeats))
-        spreads = prod(self.spread[self.lows[r][0]] for r in rows)
-        return len(self.images(rows)) * arrangements * spreads
-
-    def readers(self, d: int, shard_id: int) -> int:
-        """How many shards of K[d + 1] that the sweep builds read shard
-        ``shard_id`` of K[d]."""
-        return self.reads[d][self.top(shard_id)]
-
-    @cached_property
-    def elements(self) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-        """Every element as (the order of the shard rows, one code
-        permutation per row)."""
-        n, q, add, neg, head = self.n, self.q, self.add, self.negation, self.head
-        shifts = []
-        for ts in product(range(q), repeat=head):
-            total = 0
-            for t in ts:
-                total = add[total][t]
-            shifts.append(ts + (0,) * (n - head - 1) + (neg[total],))
-        return [
-            (order, tuple(self.perm(phi, t) for t in ts))
-            for phi in self.autos
-            for ts in shifts
-            for order in permutations(range(head))
-        ]
-
-    def image(self, element, key: int) -> int:
-        """The key ``key`` of n rows under ``element``."""
-        order, perms = element
-        rows = [self.move(row, perm) for row, perm in zip(self.split(key, self.n), perms)]
-        rows[: self.head] = [rows[i] for i in order]
-        return self.join(rows)
-
-    def carriers(self, rep: int) -> dict[int, tuple]:
-        """Per shard id of the orbit of shard ``rep``, an element that maps
-        shard ``rep`` onto it."""
-        scale = self.scale
-        table: dict[int, tuple] = {}
-        for element in self.elements:
-            table.setdefault(self.image(element, rep * scale) // scale, element)
-        return table
-
-    def canonical(self, d: int) -> Optional[Callable[[int], bool]]:
-        """The test that a key of K[d] is the least of its tail-row orbit,
-        or None when every key is: the keys whose tail rows, the rows after
-        the shard rows, are in non-decreasing order.
-
-        Permuting the tail rows is a bijection of the flows that fixes
-        every shard, so it keeps each shard and every verdict; the least
-        key of an orbit puts its least row first.  There is no orbit to
-        reduce with fewer than two tail rows (n <= 3).  Two rows are
-        compared directly; for more, the non-decreasing tails of the
-        degree are listed once.
-        """
-        count, scale, width = self.n - self.head, self.scale, self.width
-        if count < 2:
-            return None
-        if count == 2:
-            return lambda b: b % scale // width <= b % width
-        tails = set(map(self.join, combinations_with_replacement(self.rows[d], count)))
-        return lambda b: b % scale in tails
-
-    def arrangements(self, key: int) -> list[int]:
-        """The keys with the tail rows of the canonical key ``key`` in each
-        distinct order, ascending, so ``key`` comes first."""
-        head, tail = divmod(key, self.scale)
-        orders = set(permutations(self.split(tail, self.n - self.head)))
-        return [head * self.scale + self.join(rows) for rows in sorted(orders)]
-
-
-@dataclass
-class _Tally:
-    """How the fibers of one degree were decided, counted as its verdicts
-    are drawn: by the sweep itself (the canonical keys of the rep shards),
-    or as images of those."""
-
-    decided: int = 0
-    covered: int = 0
-
-
-def _degree_verdicts(
-    group: Group, n: int, d_max: int, m: int, sweep_cap: int, find_all: bool, first: int
-) -> Iterator[tuple[int, int, _Tally, Iterator[Callable[[], Witness]]]]:
-    """For each degree d in [2, d_max], ``(d, multiset count, tally,
-    witnesses)``, where the witnesses are one function per disconnected
-    fiber that builds its :class:`Witness`: the least key's first, and with
-    ``find_all`` all of them in ascending key order.  They are drawn in
-    full before the next degree is asked for, from degree ``first`` up (2,
-    or m + 1 for a caller that needs no verdict of a degree <= m), and not
-    at all below it; once drawn, the tally counts the fibers of the degree.
-
-    Arguments come from :func:`_check_sweep`.  Each degree is sized
-    against ``sweep_cap`` before any of it is built.
-
-    A fiber's key is the sum of its members' flow keys in base d_max + 1,
-    and K[d] is the set of the degree-d keys.  Suppose every fiber of
-    degree d - 1 is connected under moves of degree <= m.  The members of
-    fiber b that contain a flow f are then a connected copy of fiber b - f,
-    and two members one move apart share a flow, since m < d.  So fiber b
-    is connected exactly when its flows S(b), the f with b - f in K[d - 1],
-    are connected, f joined to g when b - f - g is in K[d - 2], that is,
-    when g is in S(b - f).  S(b - f) is a subset of S(b), so a search over
-    the bits of S(b) decides fiber b, one probe of K[d - 1] per flow it
-    reaches.  Fibers of degree <= m are connected, so this premise holds up
-    to and including the first degree with a disconnected fiber.  Past it,
-    a fiber's members are built by :func:`_enumerate_members` and their
-    components decide it.
-
-    Each K[d] is a :class:`_KeySet`.  The symmetries of
-    :class:`_ShardOrbits` map shards onto shards and keep every verdict,
-    so only the rep of each orbit, its least shard, is built and decided,
-    and the sweep walks the reps alone, in key order.  The other shards of
-    an orbit hold as many fibers as the rep, and the orbit's size comes
-    from the row tables; each takes the rep's disconnected keys, carried
-    over by one element.  The least disconnected key is therefore a rep's,
-    and met first; with ``find_all``, the keys of a degree are sorted
-    before their witnesses are handed out.  An element is a bijection of
-    the flows, so this holds past the first failing degree too.
-
-    All leaves of the claw are alike, so any permutation of the rows is a
-    bijection of the flows too.  Those of the tail rows, the rows after the
-    shard rows (rows 2 and 3 for n = 4, rows 3 to n - 1 for n >= 5, and
-    row n - 1 alone, with nothing to permute, for n <= 3), fix every
-    shard.  So a rep shard decides only its canonical keys, whose tail
-    rows are in non-decreasing order (:meth:`_ShardOrbits.canonical`):
-    each is the least key of its tail-row orbit.  A disconnected canonical
-    key is followed by the other keys of its orbit in ascending order,
-    whose witnesses are built when drawn, and they are carried to the rest
-    of the rep's orbit with it.  The least disconnected key of a shard is
-    canonical, so the first witness is the one a search of every key
-    finds.  Shards are built as the verdicts ask for them, or as a shard of
-    K[d + 1] reads them, so a caller that skips the verdicts of a degree <= m builds
-    only the shards that the verdicts it does consume read.  A shard is
-    kept as :class:`_KeySet` says, and deciding a shard holds its sources
-    until its last fiber.  Without ``find_all`` no degree past the first
-    disconnected fiber is swept, so that fiber frees its degree's shards
-    and clears the degree's reader counts.
-    """
-    base = d_max + 1
-    failed = 0  # the first degree with a disconnected fiber
-
-    def verdicts(keys: _KeySet, tally: _Tally) -> Iterator[Callable[[], Witness]]:
-        found = walk(keys, tally)
-        if find_all:
-            found = sorted(found, key=itemgetter(0))
-        # a witness is built when it is drawn, unless its fiber's check built it
-        for key, built in found:
-            if built is None:
-                yield partial(_key_witness, group, n, keys.degree, key, base, m, sweep_cap)
-            else:
-                yield partial(replace, built)
-
-    def walk(keys: _KeySet, tally: _Tally) -> Iterator[tuple[int, Optional[Witness]]]:
-        # the reps in key order: each rep's disconnected keys, then their
-        # images in the other shards of its orbit
-        canonical = shards.canonical(keys.degree)
-        for rep in shards.reps[keys.degree]:
-            bad = []
-            # one generator per rep: its frame, which holds the shard and
-            # its sources, is gone before the next shard is built
-            for b, built in decide(keys, rep, canonical, tally):
-                bad.append(b)
-                yield b, built
-            if bad:
-                for shard_id, element in shards.carriers(rep).items():
-                    if shard_id != rep:
-                        for b in bad:
-                            yield shards.image(element, b), None
-
-    def decide(
-        keys: _KeySet,
-        shard_id: int,
-        canonical: Optional[Callable[[int], bool]],
-        tally: _Tally,
-    ) -> Iterator[tuple[int, Optional[Witness]]]:
-        nonlocal failed
-        sources = keys.sources(shard_id)
-        masks = keys.shard(shard_id)
-        # only the least key of each tail-row orbit is decided
-        ours = masks if canonical is None else list(filter(canonical, masks))
-        tally.decided += len(ours)
-        tally.covered += len(masks) * shards.size(shard_id) - len(ours)
-        if keys.degree <= m:
-            return
-        # flow i's neighbours in fiber b are the mask of b - codes[i]
-        below = [sources.get(h) for h in class_of]
-        exact = failed in (0, keys.degree)  # every degree below is connected
-        for b in sorted(ours):
-            if exact:
-                full = masks[b]
-                reached = todo = full & -full
-                while todo and reached != full:
-                    low = todo & -todo
-                    todo ^= low
-                    i = low.bit_length() - 1
-                    grow = below[i][b - codes[i]] & ~reached
-                    reached |= grow
-                    todo |= grow
-                if reached == full:
-                    continue
-            built = None
-            if not exact:
-                built = _key_witness(group, n, keys.degree, b, base, m, sweep_cap)
-                if built is None:
-                    continue
-            if not failed:
-                failed = keys.degree
-                if not find_all:
-                    # no later degree reads K[d]
-                    shards.reads[keys.degree].clear()
-                    keys.kept.clear()
-                    keys.readers.clear()
-            yield b, built
-            if canonical is not None:
-                # the rest of b's tail-row orbit, its witnesses built when drawn
-                for image in shards.arrangements(b)[1:]:
-                    yield image, None
-
-    for d in range(2, d_max + 1):
-        try:
-            total = sweep_size(group, n, d, sweep_cap)
-        except CapacityError as exc:
-            raise CapacityError(
-                f"degree {d} of the sweep: {exc}", required=exc.required, cap=exc.cap
-            ) from exc
-        if d == 2:
-            codes = flow_keys(flows_on(group, n), base)
-            shards = _ShardOrbits(group, n, d_max, first)
-            class_of = [c // shards.scale for c in codes]
-            classes: dict[int, list[tuple[int, int]]] = {}
-            for i, c in enumerate(codes):
-                classes.setdefault(class_of[i], []).append((c, 1 << i))
-            keys = _KeySet(_KeySet(None, classes, shards), classes, shards)
-        keys = _KeySet(keys, classes, shards)
-        tally = _Tally()
-        yield d, total, tally, verdicts(keys, tally)
 
 
 def certify_degree(
@@ -797,24 +223,20 @@ def certify_degree(
     per_degree: list[DegreeStats] = []
     witnesses: list[Witness] = []
     for d, multisets, tally, found in _degree_verdicts(group, n, d_max, m, sweep_cap, find_all, 2):
-        disconnected = 0
-        for witness in found:
-            disconnected += 1
-            if find_all or disconnected == 1:
-                witnesses.append(witness())
+        witnesses.extend(witness() for witness in found)
         per_degree.append(
             DegreeStats(
                 degree=d,
                 fiber_count=tally.decided + tally.covered,
                 multiset_count=multisets,
-                disconnected_count=disconnected,
+                disconnected_count=tally.disconnected,
                 decided_count=tally.decided,
                 covered_count=tally.covered,
             )
         )
         if progress is not None:
             progress(str(per_degree[-1]))
-        if disconnected and not find_all:
+        if tally.disconnected and not find_all:
             break
     if witnesses:
         verdict = "not-verified"

@@ -15,16 +15,12 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .certify import (
-    certify_degree,
-    find_indispensable,
-    find_move_path,
-    report_to_json,
-    witness_to_json,
-)
 from .errors import (
+    DEFAULT_FIBER_CAP,
+    DEFAULT_FLOW_CAP,
+    DEFAULT_SWEEP_CAP,
     CapacityError,
     FlowcertError,
     InvalidElementError,
@@ -33,17 +29,12 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .fibers import (
-    DEFAULT_FIBER_CAP,
-    DEFAULT_SWEEP_CAP,
-    FlowMultiset,
-    multiset_from_rows,
-    multiset_to_rows,
-    signature,
-)
-from .flows import DEFAULT_FLOW_CAP, enumerate_flows, vertex_embedding
-from .groups import Group, group_to_json, make_group
-from .moves import move_to_json
+
+# Each handler imports the engine modules it calls, so that a command
+# compiles only what it runs, and ``--help`` none of them.
+if TYPE_CHECKING:
+    from .fibers import FlowMultiset
+    from .groups import Group
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -62,6 +53,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_group(text: str) -> Group:
+    from .groups import make_group
+
     try:
         return make_group(int(part) for part in text.split(","))
     except (ValueError, InvalidGroupError) as exc:
@@ -70,6 +63,8 @@ def _parse_group(text: str) -> Group:
 
 def load_multiset(path: str, group: Group, n: int) -> FlowMultiset:
     """Read a multiset file: rows bare or under "flows"; errors name the path."""
+    from .fibers import multiset_from_rows
+
     # ValueError covers bytes that are not UTF-8 and malformed JSON
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -103,6 +98,9 @@ def _progress(message: str) -> None:
 
 
 def _cmd_flows(args) -> int:
+    from .flows import enumerate_flows
+    from .groups import group_to_json
+
     flows = enumerate_flows(args.group, args.n, cap=args.flow_cap)
     if args.format == "text":
         text = "\n".join(" ".join(str(v) for v in f.values) for f in flows)
@@ -120,6 +118,8 @@ def _cmd_flows(args) -> int:
 
 
 def _cmd_export_matrix(args) -> int:
+    from .flows import enumerate_flows, vertex_embedding
+
     flows = enumerate_flows(args.group, args.n, cap=args.flow_cap)
     lines = [f"{len(flows)} {args.n * args.group.order}"]
     for f in flows:
@@ -129,6 +129,8 @@ def _cmd_export_matrix(args) -> int:
 
 
 def _cmd_compat(args) -> int:
+    from .fibers import signature
+
     a = load_multiset(args.a, args.group, args.n)
     b = load_multiset(args.b, args.group, args.n)
     sig_a, sig_b = signature(a), signature(b)
@@ -151,6 +153,9 @@ def _cmd_compat(args) -> int:
 
 
 def _cmd_path(args) -> int:
+    from .certify import find_move_path
+    from .moves import move_to_json
+
     a = load_multiset(args.a, args.group, args.n)
     b = load_multiset(args.b, args.group, args.n)
     moves = find_move_path(a, b, args.m, fiber_cap=args.fiber_cap)
@@ -174,6 +179,8 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .certify import certify_degree, report_to_json
+
     report = certify_degree(
         args.group,
         args.n,
@@ -199,6 +206,10 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .certify import find_indispensable, witness_to_json
+    from .fibers import multiset_to_rows
+    from .groups import group_to_json
+
     witness = find_indispensable(
         args.group, args.n, args.m, d_max=args.dmax, sweep_cap=args.sweep_cap
     )

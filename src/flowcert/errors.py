@@ -1,4 +1,5 @@
-"""Exception taxonomy shared by all flowcert modules."""
+"""Exception taxonomy shared by all flowcert modules, and the default caps
+that :class:`CapacityError` enforces."""
 
 from __future__ import annotations
 
@@ -33,6 +34,13 @@ class ShapeError(FlowcertError):
 
 class InvalidPermutationError(FlowcertError):
     """Index map is not a bijection on [0, n)."""
+
+
+# The default caps, kept here with CapacityError so that the CLI can give
+# its options their defaults without importing the engine.
+DEFAULT_FLOW_CAP = 1 << 24  # flows of one (group, n)
+DEFAULT_FIBER_CAP = 1 << 22  # members of one fiber
+DEFAULT_SWEEP_CAP = 1 << 27  # multisets of one degree of a sweep
 
 
 class CapacityError(FlowcertError):

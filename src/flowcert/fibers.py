@@ -15,6 +15,8 @@ from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
+    DEFAULT_FIBER_CAP,
+    DEFAULT_SWEEP_CAP,
     CapacityError,
     FlowcertError,
     InvalidFiberError,
@@ -23,9 +25,6 @@ from .errors import (
 )
 from .flows import Flow, enumerate_flows, flow_count, make_flow
 from .groups import Group, json_fields, strict_int
-
-DEFAULT_FIBER_CAP = 1 << 22
-DEFAULT_SWEEP_CAP = 1 << 27
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import (
+    DEFAULT_FLOW_CAP,
     CapacityError,
     InvalidPermutationError,
     NotAFlowError,
@@ -20,8 +21,6 @@ from .errors import (
     ShapeError,
 )
 from .groups import Group, add_table, check_element, neg_table, strict_int
-
-DEFAULT_FLOW_CAP = 1 << 24
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,8 @@ from operator import add
 import pytest
 
 import flowcert as fc
-import flowcert.certify as certify_module
 import flowcert.fibers as fibers_module
-from flowcert.certify import _key_witness, _SubmultisetIndex
+import flowcert.sweep as sweep_module
 from flowcert.errors import (
     CapacityError,
     IncompatibilityError,
@@ -23,6 +22,7 @@ from flowcert.errors import (
     ShapeError,
 )
 from flowcert.fibers import DEFAULT_SWEEP_CAP, flow_keys
+from flowcert.sweep import _key_witness, _SubmultisetIndex
 from oracles import edge_components, reference_move_path
 
 Z2 = fc.make_group([2])
@@ -189,7 +189,7 @@ def test_certify_checks_fibers_in_the_calling_thread(monkeypatch):
         callers.add(threading.get_ident())
         return _key_witness(*args)
 
-    monkeypatch.setattr(certify_module, "_key_witness", recording)
+    monkeypatch.setattr(sweep_module, "_key_witness", recording)
     fc.certify_degree(Z3, 3, 4, 2, find_all=True, threads=4)
     assert callers == {threading.get_ident()}
 
@@ -655,8 +655,8 @@ def _member_level_report(group, n, d_max, m):
      (Z2xZ2, 3, 5, 2), (Z2xZ2, 4, 4, 3), (Z4, 3, 4, 2), (Z2xZ2, 3, 4, 3),
      (Z4, 3, 4, 3),
      # one for each kind of shard symmetry: automorphisms alone (n = 1), a
-     # shift of row 1 tied to row 0's (n = 2), no automorphism but the
-     # identity (a product group), and four automorphisms
+     # shift of row 1 tied to row 0's (n = 2), the identity and negation
+     # alone (a product group), and four automorphisms
      (Z5, 1, 4, 2), (Z3, 2, 4, 2), (Z6, 2, 4, 2), (Z2xZ3, 2, 4, 2), (Z5, 3, 4, 2),
      (Z5, 3, 4, 3),
      # two degrees past the first failing one
@@ -869,7 +869,7 @@ def _recording_shards(monkeypatch):
     shard it built, in build order: the shard's id, the ids of the earlier
     shards of that degree still alive once it was built, and the ids of the
     shards one degree down that were alive then."""
-    original = certify_module._KeySet.build
+    original = sweep_module._KeySet.build
     refs: dict[int, dict[int, weakref.ref]] = {}
     degrees = _Builds()
 
@@ -885,7 +885,7 @@ def _recording_shards(monkeypatch):
         refs.setdefault(self.degree, {})[shard_id] = weakref.ref(shard)
         return shard
 
-    monkeypatch.setattr(certify_module._KeySet, "build", recording)
+    monkeypatch.setattr(sweep_module._KeySet, "build", recording)
     return degrees
 
 
@@ -897,14 +897,14 @@ def _recording_shards(monkeypatch):
 def test_shards_concatenate_to_the_sorted_key_set(monkeypatch, factors, n):
     group, d_max = fc.make_group(factors), 4
     built: dict[int, list[tuple[int, dict[int, int]]]] = {}
-    original = certify_module._KeySet.build
+    original = sweep_module._KeySet.build
 
     def recording(self, shard_id):
         masks = original(self, shard_id)
         built.setdefault(self.degree, []).append((shard_id, masks))
         return masks
 
-    monkeypatch.setattr(certify_module._KeySet, "build", recording)
+    monkeypatch.setattr(sweep_module._KeySet, "build", recording)
     report = fc.certify_degree(group, n, d_max, d_max)
     # the full build each degree replaced: every flow added to every key below
     codes, scale, _, ids = _key_classes(group, n, d_max)
@@ -1149,7 +1149,7 @@ def test_isomorphic_groups_give_the_same_counts_and_verdicts(n, d_max, m):
 )
 def test_orbit_sizes_from_row_tables_match_the_carrier_tables(factors, n):
     group, d_max = fc.make_group(factors), 4
-    shards = certify_module._ShardOrbits(group, n, d_max)
+    shards = sweep_module._ShardOrbits(group, n, d_max)
     _, _, _, ids = _key_classes(group, n, d_max)
     reps = _orbit_reps(group, n, d_max)
     for d in range(2, d_max + 1):
@@ -1165,14 +1165,14 @@ def test_orbit_sizes_from_row_tables_match_the_carrier_tables(factors, n):
 
 def test_the_sweep_reads_reps_only_while_it_builds_the_orbit_tables(monkeypatch):
     calls = []
-    original = certify_module._ShardOrbits.least
+    original = sweep_module._ShardOrbits.least
 
     def counting(self, rows):
         calls.append(rows)
         return original(self, rows)
 
-    monkeypatch.setattr(certify_module._ShardOrbits, "least", counting)
-    certify_module._ShardOrbits(Z5, 3, 5)
+    monkeypatch.setattr(sweep_module._ShardOrbits, "least", counting)
+    sweep_module._ShardOrbits(Z5, 3, 5)
     tables = len(calls)
     assert tables
     calls.clear()
@@ -1215,7 +1215,7 @@ def test_tail_row_permutations_keep_shards_masks_and_verdicts(factors, n, d_max)
     # the new row of each row and the new index of each flow
     sigmas = [tuple(range(s)) + tuple(s + j for j in p) for p in permutations(range(n - s))]
     moved = [[index[fc.permute(f, sigma)] for f in flows] for sigma in sigmas]
-    shards = certify_module._ShardOrbits(group, n, d_max)
+    shards = sweep_module._ShardOrbits(group, n, d_max)
     masks = {0: 0}
     for d in range(1, d_max + 1):
         below, masks = masks, {}
@@ -1280,7 +1280,7 @@ def test_deciding_one_key_per_tail_row_orbit_matches_deciding_every_key(
 
     report, witness, decided = sweep()
     # without the tail-row symmetry, every key of a rep shard is decided
-    monkeypatch.setattr(certify_module._ShardOrbits, "canonical", lambda self, d: None)
+    monkeypatch.setattr(sweep_module._ShardOrbits, "canonical", lambda self, d: None)
     every, every_witness, every_decided = sweep()
     assert report == every
     assert witness == every_witness
