@@ -441,8 +441,8 @@ def _degree_verdicts(
     degree <= m), and not at all below it; once drawn, the tally counts the
     fibers of the degree and the disconnected ones.
 
-    Arguments come from :func:`flowcert.certify._check_sweep`.  Each degree is sized
-    against ``sweep_cap`` before any of it is built.
+    Arguments come from :func:`flowcert.certify._check_sweep`.  Each
+    degree is sized against ``sweep_cap`` before any of it is built.
 
     A fiber's key is the sum of its members' flow keys in base d_max + 1,
     and K[d] is the set of the degree-d keys.  Suppose every fiber of
@@ -464,10 +464,10 @@ def _degree_verdicts(
     and the sweep walks the reps alone, in key order.  The other shards of
     an orbit hold as many fibers as the rep, and the orbit's size comes
     from the row tables; each takes the rep's disconnected keys, carried
-    over by one element, or without ``find_all``, whose witnesses past the
-    first are never built, only counted.  The least disconnected key is therefore a rep's,
-    and met first; with ``find_all``, the keys of a degree are sorted
-    before their witnesses are handed out.  An element is a bijection of
+    over by one element with ``find_all``, and only counted without it,
+    which builds no witness past the first.  The least disconnected key is
+    therefore a rep's, and met first; with ``find_all``, the keys of a
+    degree are sorted before their witnesses are handed out.  An element is a bijection of
     the flows, so this holds past the first failing degree too.
 
     All leaves of the claw are alike, so any permutation of the rows is a
