@@ -12,7 +12,8 @@ Each exported name is read from its submodule on first use (PEP 562), so
 
 from importlib import import_module
 
-# Each exported name, to the submodule that it is read from.
+# Each exported name, to the submodule that it is read from once; the
+# value is then bound here, so later reads are plain attribute lookups.
 _SUBMODULE = {
     name: module
     for module, names in (
@@ -62,7 +63,9 @@ def __getattr__(name: str):
     module = _SUBMODULE.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{module}"), name)
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
 
 
 def __dir__() -> list[str]:

@@ -68,6 +68,7 @@ def test_every_export_is_its_submodules_object(module):
     listed = dir(fc)
     for name in EXPORTS[module]:
         assert getattr(fc, name) is getattr(source, name), name
+        assert vars(fc)[name] is getattr(source, name), name  # bound once read
         assert name in listed, name
 
 
