@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from itertools import chain, combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
@@ -137,9 +137,10 @@ class _KeySet:
     flow of class h added to shard H - h of K[d - 1], over all classes h.
 
     ``classes`` maps each class to its flows as (key, bit) pairs.  A built
-    shard is kept until the last shard one degree up that reads it and
-    that the sweep builds, as ``shards`` counts them, is built.  K[0] is
-    the one key 0, whose mask is empty.
+    shard of K[d] is kept to the end of the sweep for d <= d_max - 2; for
+    d = d_max - 1 until the last rep of K[d_max] that reads it is built,
+    as :meth:`_ShardOrbits.readers` counts them when it is built; and for
+    d = d_max not at all.  K[0] is the one key 0, whose mask is empty.
     """
 
     def __init__(
@@ -150,38 +151,40 @@ class _KeySet:
     ):
         self.below, self.classes, self.shards = below, classes, shards
         self.degree = 0 if below is None else below.degree + 1
-        self.kept: dict[int, dict[int, int]] = {}
-        # per kept shard, its readers not built yet
+        # a built shard is kept to the end of the sweep (> 0), until its
+        # last reader is built (0), or not at all (< 0)
+        self.keep = len(shards.rows) - 2 - self.degree
+        self.kept: dict[int, dict[int, int]] = {0: {0: 0}} if below is None else {}
+        # per kept shard of K[d_max - 1], its readers not built yet
         self.readers: dict[int, int] = {}
-        if below is None:
-            self.kept[0] = {0: 0}
-            self.readers[0] = shards.readers(0, 0)
 
     def sources(self, shard_id: int) -> dict[int, dict[int, int]]:
         """The shards of K[d - 1] that shard ``shard_id`` reads, by class."""
         below = self.below
         return {shard_id - s: below.shard(s) for s in self.shards.sources(shard_id)}
 
-    def build(self, shard_id: int) -> dict[int, int]:
-        """Shard ``shard_id``, built from its sources and kept nowhere."""
+    def build(self, shard_id: int, sources: dict[int, dict[int, int]]) -> dict[int, int]:
+        """Shard ``shard_id``, built from its :meth:`sources` and kept nowhere."""
         masks: dict[int, int] = {}
         get = masks.get
-        for h, keys in self.sources(shard_id).items():
+        for h, keys in sources.items():
             for c, bit in self.classes[h]:
                 for k in keys:
                     key = k + c
                     masks[key] = get(key, 0) | bit
         return masks
 
-    def shard(self, shard_id: int) -> dict[int, int]:
+    def shard(self, shard_id: int, sources: Optional[dict] = None) -> dict[int, int]:
+        """Shard ``shard_id``; a caller that holds its sources hands them over."""
         masks = self.kept.get(shard_id)
         if masks is None:
-            masks = self.build(shard_id)
-            readers = self.shards.readers(self.degree, shard_id)
-            if readers:
+            sources = sources or self.sources(shard_id)
+            masks = self.build(shard_id, sources)
+            if self.keep > 0:
                 self.kept[shard_id] = masks
-                self.readers[shard_id] = readers
-            for h in self.classes:
+            elif self.keep == 0 and (readers := self.shards.readers(shard_id)):
+                self.kept[shard_id], self.readers[shard_id] = masks, readers
+            for h in sources:
                 self.below.release(shard_id - h)
         return masks
 
@@ -272,14 +275,7 @@ class _ShardOrbits:
             heads = combinations_with_replacement(least, self.head)
             tops[d] = [h for h in heads if len(self.autos) == 1 or self.least(h) == h]
         self.reps = [list(map(self.join, level)) for level in tops]
-        # per degree, per :meth:`top` of a shard the sweep builds, how many
-        # shards it builds one degree up read it
-        self.reads: list[Counter] = [Counter() for _ in self.rows]
-        above: Iterable[tuple[int, ...]] = ()
-        lower = self.lower.__getitem__
-        for d in range(d_max, -1, -1):
-            self.reads[d].update(chain.from_iterable(product(*map(lower, top)) for top in above))
-            above = self.reads[d].keys() | tops[d]
+        self.last = set(self.reps[-1])  # the reps of K[d_max]
 
     def split(self, number: int, count: int) -> list[int]:
         """The ``count`` rows of ``number``, row 0 first."""
@@ -351,10 +347,12 @@ class _ShardOrbits:
         spreads = prod(self.spread[self.lows[r][0]] for r in rows)
         return len(self.images(rows)) * arrangements * spreads
 
-    def readers(self, d: int, shard_id: int) -> int:
-        """How many shards of K[d + 1] that the sweep builds read shard
-        ``shard_id`` of K[d]."""
-        return self.reads[d][self.top(shard_id)]
+    def readers(self, shard_id: int) -> int:
+        """How many reps of K[d_max] read shard ``shard_id`` of K[d_max - 1],
+        in q^s lookups: those whose shard rows are its rows plus one unit
+        each.  It is kept until they are built, a lower one to the end."""
+        ups = ([r + u for u in self.units] for r in self.top(shard_id))
+        return sum(self.join(top) in self.last for top in product(*ups))
 
     @cached_property
     def elements(self) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
@@ -483,11 +481,12 @@ def _degree_verdicts(
     canonical, so the first witness is the one a search of every key
     finds.  Shards are built as the verdicts ask for them, or as a shard of
     K[d + 1] reads them, so a caller that skips the verdicts of a degree <= m builds
-    only the shards that the verdicts it does consume read.  A shard is
-    kept as :class:`_KeySet` says, and deciding a shard holds its sources
-    until its last fiber.  Without ``find_all`` no degree past the first
-    disconnected fiber is swept, so that fiber frees its degree's shards
-    and clears the degree's reader counts.
+    only the shards that the verdicts it does consume read.  Shards below
+    K[d_max - 1] are kept to the end, one of K[d_max - 1] until the last
+    rep of K[d_max] that reads it is built, none of K[d_max]; deciding a
+    shard holds its sources until its last fiber.  Without ``find_all`` no
+    degree past the first disconnected fiber is swept: from that fiber on,
+    its degree keeps no shard.
     """
     base = d_max + 1
     failed = 0  # the first degree with a disconnected fiber
@@ -537,7 +536,7 @@ def _degree_verdicts(
     ) -> Iterator[tuple[int, Optional[Witness]]]:
         nonlocal failed
         sources = keys.sources(shard_id)
-        masks = keys.shard(shard_id)
+        masks = keys.shard(shard_id, sources)
         # only the least key of each tail-row orbit is decided
         ours = masks if canonical is None else list(filter(canonical, masks))
         tally.decided += len(ours)
@@ -569,7 +568,7 @@ def _degree_verdicts(
                 failed = keys.degree
                 if not find_all:
                     # no later degree reads K[d]
-                    shards.reads[keys.degree].clear()
+                    keys.keep = -1
                     keys.kept.clear()
                     keys.readers.clear()
             yield b, built

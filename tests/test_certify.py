@@ -843,16 +843,22 @@ def _check_unbuilt_shards_are_images_of_built_reps(degrees, reps, ids, degree_ra
 
 
 def _check_lifetimes(degrees, classes):
-    """A kept shard lives from its build until the last shard one degree up
-    that reads it is built: check each build's record of the live shards
-    of its degree and of the degree below against that rule."""
+    """Check each build's record of the live shards of its degree and of
+    the degree below against the lifetime rule: a shard of K[d] lives from
+    its build to the end of the sweep for d <= d_max - 2, until the last
+    shard of K[d_max] that reads it is built for d = d_max - 1, and not at
+    all for d = d_max.  The sweeps checked here reach d_max."""
     at = {build: i for i, build in enumerate(degrees.log)}
     assert len(at) == len(degrees.log)  # each shard is built once
+    d_max = max(degrees)
     last: dict[tuple[int, int], int] = {}
     for (d, h), i in at.items():
-        for g in classes:
-            if (d - 1, h - g) in at:
-                last[d - 1, h - g] = max(last.get((d - 1, h - g), -1), i)
+        if d <= d_max - 2:
+            last[d, h] = len(at)
+        elif d == d_max:
+            for g in classes:
+                if (d - 1, h - g) in at:
+                    last[d - 1, h - g] = max(last.get((d - 1, h - g), -1), i)
 
     def alive(d, i):
         return {h for (e, h), j in at.items() if e == d and j < i <= last.get((e, h), -1)}
@@ -876,8 +882,8 @@ def _recording_shards(monkeypatch):
     def live(d):
         return {s for s, ref in refs.get(d, {}).items() if ref() is not None}
 
-    def recording(self, shard_id):
-        shard = _Shard(original(self, shard_id))
+    def recording(self, shard_id, sources):
+        shard = _Shard(original(self, shard_id, sources))
         degrees.setdefault(self.degree, []).append(
             (shard_id, live(self.degree), live(self.degree - 1))
         )
@@ -899,8 +905,8 @@ def test_shards_concatenate_to_the_sorted_key_set(monkeypatch, factors, n):
     built: dict[int, list[tuple[int, dict[int, int]]]] = {}
     original = sweep_module._KeySet.build
 
-    def recording(self, shard_id):
-        masks = original(self, shard_id)
+    def recording(self, shard_id, sources):
+        masks = original(self, shard_id, sources)
         built.setdefault(self.degree, []).append((shard_id, masks))
         return masks
 
@@ -988,9 +994,9 @@ def test_certify_holds_one_shard_of_its_last_degree(monkeypatch, group, n, m):
     assert [h for h, _, _ in degrees[4]] == [h for h, rep in reps[4].items() if h == rep]
     assert len(degrees[4]) > 1
     assert not any(alive for _, alive, _ in degrees[4])
-    # degree 3 keeps each shard that a shard of degree 4 reads until the
-    # last of those is built, and a shard one degree down lives until the
-    # last shard that reads it is built
+    # degree 3 keeps each shard that a rep of degree 4 reads until the
+    # last of those is built, and degrees 1 and 2 keep every shard they
+    # build to the end of the sweep
     assert any(alive for _, alive, _ in degrees[3])
     _check_lifetimes(degrees, classes)
     _check_unbuilt_shards_are_images_of_built_reps(degrees, reps, ids, range(1, 5))
@@ -1000,7 +1006,9 @@ def test_a_witness_search_to_d_max_frees_each_shard_after_its_last_reader(monkey
     degrees = _recording_shards(monkeypatch)
     # moves of degree 3 suffice for Z3 on 5 leaves, so the search walks
     # degrees 4 and 5 in full; it draws no verdict of a degree <= 3, so
-    # below degree 4 it builds only the shards that later ones read
+    # below degree 4 it builds only the shards that later ones read; it
+    # frees a shard of degree 4 after its last reader and keeps every
+    # shard of degree 3 and below to the end
     assert fc.find_indispensable(Z3, 5, 3, d_max=5) is None
     _, _, classes, _ = _key_classes(Z3, 5, 5)
     _check_lifetimes(degrees, classes)

@@ -3,9 +3,9 @@
 Run with ``FLOWCERT_STRETCH=1 pytest tests/test_stretch.py -v -s``.  Each
 sweep runs in a child interpreter and its peak RSS is bounded: the sweep
 builds only the least shard of each symmetry orbit and the shards those
-read, holds those of the degree below its last one, freeing each once the
-last shard that reads it is checked, and a single shard of the last
-degree.  The child reads its peak as ``VmHWM`` from
+read, holds those below degree d_max - 1 to the end, those of degree
+d_max - 1 until the last shard that reads them is built, and a single
+shard of the last degree.  The child reads its peak as ``VmHWM`` from
 ``/proc/self/status`` (Linux only).  ``getrusage``'s ``ru_maxrss`` would
 not do: Linux carries the spawning process's peak across ``exec``, so
 under pytest it reads at least pytest's own peak.
@@ -24,9 +24,11 @@ import pytest
 CHILD = """
 import hashlib, json, sys, time
 import flowcert as fc
-factors, n, d_max, m, find_all = json.loads(sys.argv[1])
+factors, n, d_max, m, find_all, sweep_cap = json.loads(sys.argv[1])
 started = time.monotonic()
-report = fc.certify_degree(fc.make_group(factors), n, d_max, m, find_all=find_all)
+report = fc.certify_degree(
+    fc.make_group(factors), n, d_max, m, find_all=find_all, sweep_cap=sweep_cap
+)
 elapsed_s = time.monotonic() - started
 peak_rss_mib = next(
     int(line.split()[1]) / 1024
@@ -51,11 +53,12 @@ STRETCH = pytest.mark.skipif(
 LINUX = pytest.mark.skipif(sys.platform != "linux", reason="peak RSS is read from /proc")
 
 
-def _sweep(factors, n, d_max, m, find_all=False):
-    """The child's result for ``certify_degree``, run with these arguments."""
+def _sweep(factors, n, d_max, m, find_all=False, sweep_cap=1 << 27):
+    """The child's result for ``certify_degree``, run with these arguments;
+    ``sweep_cap`` defaults to the library's default cap."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps([factors, n, d_max, m, find_all])],
+        [sys.executable, "-c", CHILD, json.dumps([factors, n, d_max, m, find_all, sweep_cap])],
         capture_output=True, text=True, check=True, timeout=600,
         env=dict(os.environ, PYTHONPATH=src),
     )
@@ -78,11 +81,17 @@ def _sweep(factors, n, d_max, m, find_all=False):
         # 18 MiB (42 MiB when every shard was built, 44 MiB with row-0
         # shards of key sets, 136 MiB when the last degree was built whole)
         ([3], 5, 5, 3, [2187, 27907, 215703, 1181547], 80),
+        # the sweep on which keeping every shard below degree d_max - 1
+        # costs most: 35.4 MiB on 2-core x86-64, CPython 3.11 (33.3 MiB when
+        # each shard was freed after its last reader); its 7.4e9 degree-5
+        # multisets are above the default cap, so this test lifts the cap,
+        # which the other cases are under
+        ([3], 6, 5, 3, [14094, 307090, 3569427, 27261927], 48),
     ],
-    ids=["z2-n8-d4-m2", "z3-n5-d5-m3"],
+    ids=["z2-n8-d4-m2", "z3-n5-d5-m3", "z3-n6-d5-m3"],
 )
 def test_stretch_sweep_verified(factors, n, d_max, m, fibers, peak_mib):
-    result = _sweep(factors, n, d_max, m)
+    result = _sweep(factors, n, d_max, m, sweep_cap=1 << 40)
     assert result["verdict"] == "verified"
     assert result["fibers"] == fibers
     assert not any(result["disconnected"])
