@@ -18,11 +18,9 @@ use as well.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import factorial, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -148,12 +146,13 @@ class _KeySet:
         below: Optional[_KeySet],
         classes: dict[int, list[tuple[int, int]]],
         shards: _ShardOrbits,
+        d_max: int,
     ):
         self.below, self.classes, self.shards = below, classes, shards
         self.degree = 0 if below is None else below.degree + 1
         # a built shard is kept to the end of the sweep (> 0), until its
         # last reader is built (0), or not at all (< 0)
-        self.keep = len(shards.rows) - 2 - self.degree
+        self.keep = d_max - 1 - self.degree
         self.kept: dict[int, dict[int, int]] = {0: {0: 0}} if below is None else {}
         # per kept shard of K[d_max - 1], its readers not built yet
         self.readers: dict[int, int] = {}
@@ -216,8 +215,9 @@ class _ShardOrbits:
     the shard rows among themselves, so it maps shards onto shards.  The
     rep of an orbit is its least id.  The sweep builds the reps of every
     degree it walks, from ``first`` up, and the shards one degree down that
-    the shards it builds read; the rep and orbit-size tables cover those
-    degrees alone.  Within a shard, :meth:`canonical` and
+    the shards it builds read; the row, shift-orbit and rep tables are
+    built for the degrees it walks alone, and a shard's sources and readers
+    are read off the digits of its id.  Within a shard, :meth:`canonical` and
     :meth:`arrangements` read the tail rows, the rows after the shard rows.
 
     A row of counts is handled as its value, its digits in base
@@ -238,27 +238,21 @@ class _ShardOrbits:
         self.scale = self.width ** (n - self.head)  # a key's shard id is key // scale
         # per code v, the value of a row with one count at v
         self.units = units = [base ** (q - 1 - v) for v in range(q)]
+        # per shard row, last first, its place in a shard id
+        self.places = [self.width**i for i in range(self.head)]
         shifts = [self.perm(identity, t) for t in range(q)]
-        # per degree, its row values, ascending; per row value, the row
-        # values one degree down within it
-        self.rows: list[list[int]] = [[0]]
-        self.lower: dict[int, list[int]] = {}
         # per row value, for each automorphism, the least value of the
         # shifts of its image, and per least value, how many values its
         # shifts take: the tables that rep tests and orbit sizes read
         self.lows: dict[int, tuple[int, ...]] = {}
         self.spread: dict[int, int] = {}
-        # per degree, the :meth:`top` of each rep, ascending
-        tops: list[list[tuple[int, ...]]] = [[]]
+        # per degree, its reps, ascending
+        self.reps: list[list[int]] = [[]]
         for d in range(1, d_max + 1):
-            below = set(self.rows[-1])
-            rows = sorted({r + u for r in below for u in units})
-            self.rows.append(rows)
-            for r in rows:
-                self.lower[r] = [r - u for u in units if r - u in below]
-            tops.append([])
+            self.reps.append([])
             if d < first:
                 continue
+            rows = self.rows(d)
             # the least row of each shift orbit is met first
             least, low = [], {}
             for r in rows:
@@ -273,9 +267,14 @@ class _ShardOrbits:
             # a rep's rows are each the least of their shifts, in ascending
             # order, and no other automorphism (Z2^k has none) gives less
             heads = combinations_with_replacement(least, self.head)
-            tops[d] = [h for h in heads if len(self.autos) == 1 or self.least(h) == h]
-        self.reps = [list(map(self.join, level)) for level in tops]
+            if len(self.autos) > 1:
+                heads = (h for h in heads if self.least(h) == h)
+            self.reps[d] = list(map(self.join, heads))
         self.last = set(self.reps[-1])  # the reps of K[d_max]
+
+    def rows(self, d: int) -> list[int]:
+        """The row values of degree ``d``, the sums of d units, ascending."""
+        return sorted(map(sum, combinations_with_replacement(self.units, d)))
 
     def split(self, number: int, count: int) -> list[int]:
         """The ``count`` rows of ``number``, row 0 first."""
@@ -296,9 +295,14 @@ class _ShardOrbits:
         return tuple(self.split(shard_id, self.head))
 
     def sources(self, shard_id: int) -> list[int]:
-        """The shard ids one degree down that shard ``shard_id`` reads: a
-        row one degree down within each of its rows, ascending."""
-        return list(map(self.join, product(*map(self.lower.__getitem__, self.top(shard_id)))))
+        """The shard ids one degree down that shard ``shard_id`` reads, one
+        unit less in each of its rows, ascending: each row's nonzero digits
+        are read off the id, and the last row is the innermost choice."""
+        ids, rest, base, width = [shard_id], shard_id, self.base, self.width
+        for place in self.places:
+            rest, row = divmod(rest, width)
+            ids = [h - place * u for u in self.units if row // u % base for h in ids]
+        return ids
 
     def perm(self, phi: tuple[int, ...], t: int) -> tuple[int, ...]:
         """The code permutation v -> phi(v) + t."""
@@ -338,21 +342,34 @@ class _ShardOrbits:
         their least values; two automorphisms that give the same multiset
         of orbits reach the same ids, and otherwise none in common.  The
         ids one of them reaches are every arrangement of its orbits over
-        the shard rows, with any value of each orbit in its row; orbits
-        that an automorphism maps onto each other have equal sizes.
+        the shard rows, s! over the factorial of each repeat, with any
+        value of each orbit in its row; orbits that an automorphism maps
+        onto each other have equal sizes.
         """
-        rows = self.top(shard_id)
-        repeats = Counter(self.lows[r][0] for r in rows).values()
-        arrangements = factorial(self.head) // prod(map(factorial, repeats))
-        spreads = prod(self.spread[self.lows[r][0]] for r in rows)
-        return len(self.images(rows)) * arrangements * spreads
+        rows, lows, spread = self.top(shard_id), self.lows, self.spread
+        heads = sorted(lows[r][0] for r in rows)
+        count = 1 if len(self.autos) == 1 else len(self.images(rows))
+        repeat = 0
+        for i, low in enumerate(heads):
+            repeat = repeat + 1 if i and low == heads[i - 1] else 1
+            count = count * (i + 1) // repeat * spread[low]
+        return count
+
+    @cached_property
+    def ups(self) -> list[int]:
+        """What one unit added to each shard row adds to a shard id, in
+        every one of the q^s ways."""
+        ups = [0]
+        for place in self.places:
+            ups = [up + place * u for up in ups for u in self.units]
+        return ups
 
     def readers(self, shard_id: int) -> int:
         """How many reps of K[d_max] read shard ``shard_id`` of K[d_max - 1],
         in q^s lookups: those whose shard rows are its rows plus one unit
         each.  It is kept until they are built, a lower one to the end."""
-        ups = ([r + u for u in self.units] for r in self.top(shard_id))
-        return sum(self.join(top) in self.last for top in product(*ups))
+        last = self.last
+        return sum(shard_id + up in last for up in self.ups)
 
     @cached_property
     def elements(self) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
@@ -405,7 +422,7 @@ class _ShardOrbits:
             return None
         if count == 2:
             return lambda b: b % scale // width <= b % width
-        tails = set(map(self.join, combinations_with_replacement(self.rows[d], count)))
+        tails = set(map(self.join, combinations_with_replacement(self.rows(d), count)))
         return lambda b: b % scale in tails
 
     def arrangements(self, key: int) -> list[int]:
@@ -591,7 +608,7 @@ def _degree_verdicts(
             classes: dict[int, list[tuple[int, int]]] = {}
             for i, c in enumerate(codes):
                 classes.setdefault(class_of[i], []).append((c, 1 << i))
-            keys = _KeySet(_KeySet(None, classes, shards), classes, shards)
-        keys = _KeySet(keys, classes, shards)
+            keys = _KeySet(_KeySet(None, classes, shards, d_max), classes, shards, d_max)
+        keys = _KeySet(keys, classes, shards, d_max)
         tally = _Tally()
         yield d, total, tally, verdicts(keys, tally)

@@ -32,6 +32,7 @@ Z4 = fc.make_group([4])
 Z5 = fc.make_group([5])
 Z6 = fc.make_group([6])
 Z2xZ3 = fc.make_group([2, 3])
+Z3xZ3 = fc.make_group([3, 3])
 
 # lowest disconnected locus for Z3 under quadric moves, frozen after the
 # generative-edge oracle confirmed the disconnection
@@ -300,8 +301,13 @@ def test_find_indispensable_clean_cases():
 
 @pytest.mark.parametrize(
     "group,n,m,d_max",
-    [(Z3, 3, 2, 4), (Z3, 4, 2, 3), (Z2, 4, 2, 4), (Z3, 4, 3, 4)],
-    ids=["z3-n3-m2", "z3-n4-m2", "z2-n4-m2", "z3-n4-m3"],
+    [(Z3, 3, 2, 4), (Z3, 4, 2, 3), (Z2, 4, 2, 4), (Z3, 4, 3, 4),
+     # the search's tables start at degree m + 1: two- and three-row shards,
+     # with one, two and four automorphisms
+     (Z2xZ2, 4, 3, 4), (Z3, 5, 2, 3), (Z3, 6, 2, 3), (Z2xZ3, 3, 2, 4),
+     (Z5, 3, 3, 5), (Z3xZ3, 3, 2, 3)],
+    ids=["z3-n3-m2", "z3-n4-m2", "z2-n4-m2", "z3-n4-m3", "z2x2-n4-m3", "z3-n5-m2",
+         "z3-n6-m2", "z2x3-n3-m2", "z5-n3-m3", "z3x3-n3-m2"],
 )
 def test_find_indispensable_matches_certify_sweep(group, n, m, d_max):
     report = fc.certify_degree(group, n, d_max, m)
@@ -1158,9 +1164,17 @@ def test_isomorphic_groups_give_the_same_counts_and_verdicts(n, d_max, m):
 def test_orbit_sizes_from_row_tables_match_the_carrier_tables(factors, n):
     group, d_max = fc.make_group(factors), 4
     shards = sweep_module._ShardOrbits(group, n, d_max)
+    # tables built from degree 3 on, as a witness search with m = 2 builds them
+    later = sweep_module._ShardOrbits(group, n, d_max, 3)
     _, _, _, ids = _key_classes(group, n, d_max)
     reps = _orbit_reps(group, n, d_max)
+    assert later.reps[2] == []
     for d in range(2, d_max + 1):
+        if d >= 3:
+            assert later.reps[d] == shards.reps[d]
+            assert [later.size(rep) for rep in later.reps[d]] == [
+                shards.size(rep) for rep in shards.reps[d]
+            ]
         # the reps are the least ids of the orbits of the brute-force group,
         # and their orbits partition the shard ids of the degree
         assert shards.reps[d] == sorted(h for h, rep in reps[d].items() if h == rep)
