@@ -355,21 +355,15 @@ class _ShardOrbits:
             count = count * (i + 1) // repeat * spread[low]
         return count
 
-    @cached_property
-    def ups(self) -> list[int]:
-        """What one unit added to each shard row adds to a shard id, in
-        every one of the q^s ways."""
-        ups = [0]
-        for place in self.places:
-            ups = [up + place * u for up in ups for u in self.units]
-        return ups
-
     def readers(self, shard_id: int) -> int:
         """How many reps of K[d_max] read shard ``shard_id`` of K[d_max - 1],
         in q^s lookups: those whose shard rows are its rows plus one unit
         each.  It is kept until they are built, a lower one to the end."""
+        ids = [shard_id]
+        for place in self.places:
+            ids = [h + place * u for h in ids for u in self.units]
         last = self.last
-        return sum(shard_id + up in last for up in self.ups)
+        return sum(h in last for h in ids)
 
     @cached_property
     def elements(self) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
