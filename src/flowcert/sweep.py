@@ -247,11 +247,8 @@ class _ShardOrbits:
         self.lows: dict[int, tuple[int, ...]] = {}
         self.spread: dict[int, int] = {}
         # per degree, its reps, ascending
-        self.reps: list[list[int]] = [[]]
-        for d in range(1, d_max + 1):
-            self.reps.append([])
-            if d < first:
-                continue
+        self.reps: list[list[int]] = [[] for _ in range(d_max + 1)]
+        for d in range(first, d_max + 1):
             rows = self.rows(d)
             # the least row of each shift orbit is met first
             least, low = [], {}
@@ -347,11 +344,13 @@ class _ShardOrbits:
         onto each other have equal sizes.
         """
         rows, lows, spread = self.top(shard_id), self.lows, self.spread
-        heads = sorted(lows[r][0] for r in rows)
+        orbits = sorted(lows[r][0] for r in rows)
         count = 1 if len(self.autos) == 1 else len(self.images(rows))
+        # the arrangements one factor at a time: (i + 1) over the length of
+        # the run of equal orbits that ends at i
         repeat = 0
-        for i, low in enumerate(heads):
-            repeat = repeat + 1 if i and low == heads[i - 1] else 1
+        for i, low in enumerate(orbits):
+            repeat = repeat + 1 if i and low == orbits[i - 1] else 1
             count = count * (i + 1) // repeat * spread[low]
         return count
 
