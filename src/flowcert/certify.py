@@ -223,7 +223,7 @@ def certify_degree(
     per_degree: list[DegreeStats] = []
     witnesses: list[Witness] = []
     for d, multisets, tally, found in _degree_verdicts(group, n, d_max, m, sweep_cap, find_all, 2):
-        witnesses.extend(witness() for witness in found)
+        witnesses.extend(found)
         per_degree.append(
             DegreeStats(
                 degree=d,
@@ -334,7 +334,7 @@ def find_indispensable(
     # those that later degrees read
     for _, _, _, found in _degree_verdicts(group, n, d_max, m, sweep_cap, False, m + 1):
         for witness in found:
-            return witness()
+            return witness
     return None
 
 

@@ -18,8 +18,8 @@ use as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations, product
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
@@ -398,22 +398,20 @@ class _ShardOrbits:
             table.setdefault(self.image(element, rep * scale) // scale, element)
         return table
 
-    def canonical(self, d: int) -> Optional[Callable[[int], bool]]:
-        """The test that a key of K[d] is the least of its tail-row orbit,
-        or None when every key is: the keys whose tail rows, the rows after
-        the shard rows, are in non-decreasing order.
+    def canonical(self, d: int) -> Callable[[int], bool]:
+        """The test that a key of K[d] is the least of its tail-row orbit:
+        that its tail rows, the rows after the shard rows, are in
+        non-decreasing order.
 
         Permuting the tail rows is a bijection of the flows that fixes
         every shard, so it keeps each shard and every verdict; the least
-        key of an orbit puts its least row first.  There is no orbit to
-        reduce with fewer than two tail rows (n <= 3).  Two rows are
-        compared directly; for more, the non-decreasing tails of the
-        degree are listed once.
+        key of an orbit puts its least row first.  Up to two rows are
+        compared directly: with one tail row (n <= 3) the row it is
+        compared with reads 0, so every key passes and is its own orbit.
+        For more, the non-decreasing tails of the degree are listed once.
         """
         count, scale, width = self.n - self.head, self.scale, self.width
-        if count < 2:
-            return None
-        if count == 2:
+        if count <= 2:
             return lambda b: b % scale // width <= b % width
         tails = set(map(self.join, combinations_with_replacement(self.rows(d), count)))
         return lambda b: b % scale in tails
@@ -439,12 +437,12 @@ class _Tally:
 
 def _degree_verdicts(
     group: Group, n: int, d_max: int, m: int, sweep_cap: int, find_all: bool, first: int
-) -> Iterator[tuple[int, int, _Tally, Iterator[Callable[[], Witness]]]]:
+) -> Iterator[tuple[int, int, _Tally, Iterator[Witness]]]:
     """For each degree d in [2, d_max], ``(d, multiset count, tally,
-    witnesses)``, where the witnesses are functions that build a
-    :class:`Witness`: the least disconnected key's alone, or with
-    ``find_all`` one per disconnected fiber, in ascending key order.  They
-    are drawn in full before the next degree is asked for, from degree
+    witnesses)``, where the witnesses are a generator of :class:`Witness`
+    objects, each built when drawn: the least disconnected key's alone, or
+    with ``find_all`` one per disconnected fiber, in ascending key order.
+    They are drawn in full before the next degree is asked for, from degree
     ``first`` up (2, or m + 1 for a caller that needs no verdict of a
     degree <= m), and not at all below it; once drawn, the tally counts the
     fibers of the degree and the disconnected ones.
@@ -501,16 +499,13 @@ def _degree_verdicts(
     base = d_max + 1
     failed = 0  # the first degree with a disconnected fiber
 
-    def verdicts(keys: _KeySet, tally: _Tally) -> Iterator[Callable[[], Witness]]:
+    def verdicts(keys: _KeySet, tally: _Tally) -> Iterator[Witness]:
         found = walk(keys, tally)
         if find_all:
             found = sorted(found, key=itemgetter(0))
         # a witness is built when it is drawn, unless its fiber's check built it
         for key, built in found:
-            if built is None:
-                yield partial(_key_witness, group, n, keys.degree, key, base, m, sweep_cap)
-            else:
-                yield partial(replace, built)
+            yield built or _key_witness(group, n, keys.degree, key, base, m, sweep_cap)
             if not find_all:
                 # the rest of the degree is only counted
                 for _ in found:
@@ -539,16 +534,13 @@ def _degree_verdicts(
                             yield shards.image(element, b), None
 
     def decide(
-        keys: _KeySet,
-        shard_id: int,
-        canonical: Optional[Callable[[int], bool]],
-        tally: _Tally,
+        keys: _KeySet, shard_id: int, canonical: Callable[[int], bool], tally: _Tally
     ) -> Iterator[tuple[int, Optional[Witness]]]:
         nonlocal failed
         sources = keys.sources(shard_id)
         masks = keys.shard(shard_id, sources)
         # only the least key of each tail-row orbit is decided
-        ours = masks if canonical is None else list(filter(canonical, masks))
+        ours = list(filter(canonical, masks))
         tally.decided += len(ours)
         tally.covered += len(masks) * shards.size(shard_id) - len(ours)
         if keys.degree <= m:
@@ -582,10 +574,9 @@ def _degree_verdicts(
                     keys.kept.clear()
                     keys.readers.clear()
             yield b, built
-            if canonical is not None:
-                # the rest of b's tail-row orbit, its witnesses built when drawn
-                for image in shards.arrangements(b)[1:]:
-                    yield image, None
+            # the rest of b's tail-row orbit, its witnesses built when drawn
+            for image in shards.arrangements(b)[1:]:
+                yield image, None
 
     for d in range(2, d_max + 1):
         try:

@@ -195,6 +195,32 @@ def test_certify_checks_fibers_in_the_calling_thread(monkeypatch):
     assert callers == {threading.get_ident()}
 
 
+@pytest.mark.parametrize(
+    "run,disconnected",
+    [
+        (lambda: fc.find_indispensable(Z2xZ2, 4, 3), None),
+        (lambda: fc.certify_degree(Z3, 3, 5, 2), None),
+        (lambda: fc.certify_degree(Z2xZ2, 4, 4, 3), 480),
+    ],
+    ids=["witness-z2x2-n4", "certify-z3-n3-d5", "certify-z2x2-n4-d4"],
+)
+def test_a_search_without_find_all_builds_one_witness(monkeypatch, run, disconnected):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _key_witness(*args)
+
+    monkeypatch.setattr(sweep_module, "_key_witness", counting)
+    result = run()
+    # the first witness alone is built; the other disconnected fibers are
+    # only counted
+    assert len(calls) == 1
+    if disconnected is not None:
+        assert [s.disconnected_count for s in result.per_degree][-1] == disconnected
+        assert len(result.witnesses) == 1
+
+
 def test_certify_capacity_error_names_the_degree():
     with pytest.raises(CapacityError) as err:
         fc.certify_degree(Z2, 6, 4, 2, sweep_cap=1000)
@@ -1265,12 +1291,11 @@ def test_tail_row_permutations_keep_shards_masks_and_verdicts(factors, n, d_max)
         # each key lies in the orbit of its least key, and the sweep takes
         # that key, whose tail rows are in non-decreasing order, as the one
         # it decides, and the orbit in ascending order as its arrangements
-        canonical = shards.canonical(d) or (lambda b: True)
+        canonical = shards.canonical(d)
         for b, orbit in orbits.items():
             assert canonical(b) == (b == min(orbit)) == _tail_sorted(b, n, scale, width)
             if canonical(b):
                 assert shards.arrangements(b) == sorted(orbit)
-        assert (shards.canonical(d) is None) == (n <= 3)
 
 
 @pytest.mark.parametrize(
@@ -1302,7 +1327,8 @@ def test_deciding_one_key_per_tail_row_orbit_matches_deciding_every_key(
 
     report, witness, decided = sweep()
     # without the tail-row symmetry, every key of a rep shard is decided
-    monkeypatch.setattr(sweep_module._ShardOrbits, "canonical", lambda self, d: None)
+    monkeypatch.setattr(sweep_module._ShardOrbits, "canonical", lambda self, d: lambda b: True)
+    monkeypatch.setattr(sweep_module._ShardOrbits, "arrangements", lambda self, key: [key])
     every, every_witness, every_decided = sweep()
     assert report == every
     assert witness == every_witness
