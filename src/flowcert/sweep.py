@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations, product
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import CapacityError
@@ -241,9 +240,9 @@ class _ShardOrbits:
         # per shard row, last first, its place in a shard id
         self.places = [self.width**i for i in range(self.head)]
         shifts = [self.perm(identity, t) for t in range(q)]
-        # per row value, for each automorphism, the least value of the
-        # shifts of its image, and per least value, how many values its
-        # shifts take: the tables that rep tests and orbit sizes read
+        # per least row of a shift orbit, for each automorphism, the least
+        # row of its image's orbit, and how many rows its orbit holds: the
+        # tables that rep tests and orbit sizes read
         self.lows: dict[int, tuple[int, ...]] = {}
         self.spread: dict[int, int] = {}
         # per degree, its reps, ascending
@@ -258,9 +257,8 @@ class _ShardOrbits:
                     orbit = dict.fromkeys(self.move(r, t) for t in shifts)
                     low.update(dict.fromkeys(orbit, r))
                     self.spread[r] = len(orbit)
-            # autos[0] is the identity
-            for r in rows:
-                self.lows[r] = (low[r],) + tuple(low[self.move(r, phi)] for phi in self.autos[1:])
+            for r in least:
+                self.lows[r] = (r,) + tuple(low[self.move(r, phi)] for phi in self.autos[1:])
             # a rep's rows are each the least of their shifts, in ascending
             # order, and no other automorphism (Z2^k has none) gives less
             heads = combinations_with_replacement(least, self.head)
@@ -315,16 +313,16 @@ class _ShardOrbits:
         return out
 
     def images(self, rows: Iterable[int]) -> set[tuple[int, ...]]:
-        """Per automorphism, the least values of the shifts of the images
-        of the shard rows ``rows``, sorted.  Each is read from
-        :attr:`lows` by the automorphism's index, so zero shard rows give
-        the one empty tuple; :meth:`least` and :meth:`size` read these."""
+        """Per automorphism, the least rows of the shift orbits of the
+        images of the shard rows ``rows``, each a least row, sorted.  Each
+        is read from :attr:`lows` by the automorphism's index, so zero shard
+        rows give the one empty tuple; :meth:`least` and :meth:`size` read these."""
         lows = [self.lows[r] for r in rows]
         return {tuple(sorted(low[a] for low in lows)) for a in range(len(self.autos))}
 
     def least(self, rows: Iterable[int]) -> tuple[int, ...]:
         """The shard rows of the rep, the least id of the orbit, of the
-        shard whose shard rows are ``rows``.
+        shard whose shard rows ``rows`` are each the least of their shifts.
 
         The shard rows shift independently, and a permutation puts them in
         any order, so the rep's rows are their least values, sorted, under
@@ -333,25 +331,25 @@ class _ShardOrbits:
         return min(self.images(rows))
 
     def size(self, shard_id: int) -> int:
-        """How many shard ids the orbit of shard ``shard_id`` holds.
+        """How many shard ids the orbit of the rep ``shard_id`` holds.
 
         Each automorphism puts the shard rows in shift orbits, named by
         their least values; two automorphisms that give the same multiset
-        of orbits reach the same ids, and otherwise none in common.  The
-        ids one of them reaches are every arrangement of its orbits over
-        the shard rows, s! over the factorial of each repeat, with any
-        value of each orbit in its row; orbits that an automorphism maps
-        onto each other have equal sizes.
+        of orbits reach the same ids, and otherwise none in common.  A rep's
+        shard rows name their own orbits, in ascending order.  The ids one
+        of them reaches are every arrangement of its orbits over the shard
+        rows, s! over the factorial of each repeat, with any value of each
+        orbit in its row; orbits that an automorphism maps onto each other
+        have equal sizes.
         """
-        rows, lows, spread = self.top(shard_id), self.lows, self.spread
-        orbits = sorted(lows[r][0] for r in rows)
+        rows, spread = self.top(shard_id), self.spread
         count = 1 if len(self.autos) == 1 else len(self.images(rows))
         # the arrangements one factor at a time: (i + 1) over the length of
         # the run of equal orbits that ends at i
         repeat = 0
-        for i, low in enumerate(orbits):
-            repeat = repeat + 1 if i and low == orbits[i - 1] else 1
-            count = count * (i + 1) // repeat * spread[low]
+        for i, row in enumerate(rows):
+            repeat = repeat + 1 if i and row == rows[i - 1] else 1
+            count = count * (i + 1) // repeat * spread[row]
         return count
 
     def readers(self, shard_id: int) -> int:
@@ -440,12 +438,13 @@ def _degree_verdicts(
 ) -> Iterator[tuple[int, int, _Tally, Iterator[Witness]]]:
     """For each degree d in [2, d_max], ``(d, multiset count, tally,
     witnesses)``, where the witnesses are a generator of :class:`Witness`
-    objects, each built when drawn: the least disconnected key's alone, or
-    with ``find_all`` one per disconnected fiber, in ascending key order.
-    They are drawn in full before the next degree is asked for, from degree
-    ``first`` up (2, or m + 1 for a caller that needs no verdict of a
-    degree <= m), and not at all below it; once drawn, the tally counts the
-    fibers of the degree and the disconnected ones.
+    objects, each built from its key when drawn: the least disconnected
+    key's alone, or with ``find_all`` one per disconnected fiber, in
+    ascending key order.  They are drawn in full before the next degree
+    is asked for, from degree ``first`` up (2, or m + 1 for a caller that
+    needs no verdict of a degree <= m), and not at all below it; once
+    drawn, the tally counts the fibers of the degree and the disconnected
+    ones.
 
     Arguments come from :func:`flowcert.certify._check_sweep`.  Each
     degree is sized against ``sweep_cap`` before any of it is built.
@@ -462,7 +461,7 @@ def _degree_verdicts(
     reaches.  Fibers of degree <= m are connected, so this premise holds up
     to and including the first degree with a disconnected fiber.  Past it,
     a fiber's members are built by :func:`_enumerate_members` and their
-    components decide it.
+    components decide it; they are built again if its witness is drawn.
 
     Each K[d] is a :class:`_KeySet`.  The symmetries of
     :class:`_ShardOrbits` map shards onto shards and keep every verdict,
@@ -483,13 +482,13 @@ def _degree_verdicts(
     shard.  So a rep shard decides only its canonical keys, whose tail
     rows are in non-decreasing order (:meth:`_ShardOrbits.canonical`):
     each is the least key of its tail-row orbit.  A disconnected canonical
-    key is followed by the other keys of its orbit in ascending order,
-    whose witnesses are built when drawn, and they are carried to the rest
-    of the rep's orbit with it.  The least disconnected key of a shard is
-    canonical, so the first witness is the one a search of every key
-    finds.  Shards are built as the verdicts ask for them, or as a shard of
-    K[d + 1] reads them, so a caller that skips the verdicts of a degree <= m builds
-    only the shards that the verdicts it does consume read.  Shards below
+    key is followed by the other keys of its orbit in ascending order, and
+    they are carried to the rest of the rep's orbit with it.  The least
+    disconnected key of a shard is canonical, so the first witness is the
+    one a search of every key finds.  Shards are built as the verdicts ask
+    for them, or as a shard of K[d + 1] reads them, so a caller that skips
+    the verdicts of a degree <= m builds only the shards that the verdicts
+    it does consume read.  Shards below
     K[d_max - 1] are kept to the end, one of K[d_max - 1] until the last
     rep of K[d_max] that reads it is built, none of K[d_max]; deciding a
     shard holds its sources until its last fiber.  Without ``find_all`` no
@@ -502,17 +501,17 @@ def _degree_verdicts(
     def verdicts(keys: _KeySet, tally: _Tally) -> Iterator[Witness]:
         found = walk(keys, tally)
         if find_all:
-            found = sorted(found, key=itemgetter(0))
-        # a witness is built when it is drawn, unless its fiber's check built it
-        for key, built in found:
-            yield built or _key_witness(group, n, keys.degree, key, base, m, sweep_cap)
+            found = sorted(found)
+        # a witness is built when it is drawn
+        for key in found:
+            yield _key_witness(group, n, keys.degree, key, base, m, sweep_cap)
             if not find_all:
                 # the rest of the degree is only counted
                 for _ in found:
                     pass
                 return
 
-    def walk(keys: _KeySet, tally: _Tally) -> Iterator[tuple[int, Optional[Witness]]]:
+    def walk(keys: _KeySet, tally: _Tally) -> Iterator[int]:
         # the reps in key order: each rep's disconnected keys, then, with
         # find_all, their images in the other shards of its orbit
         canonical = shards.canonical(keys.degree)
@@ -520,9 +519,9 @@ def _degree_verdicts(
             bad = []
             # one generator per rep: its frame, which holds the shard and
             # its sources, is gone before the next shard is built
-            for b, built in decide(keys, rep, canonical, tally):
+            for b in decide(keys, rep, canonical, tally):
                 bad.append(b)
-                yield b, built
+                yield b
             if not bad:
                 continue
             # each shard of the orbit holds the images of the rep's keys
@@ -531,11 +530,11 @@ def _degree_verdicts(
                 for shard_id, element in shards.carriers(rep).items():
                     if shard_id != rep:
                         for b in bad:
-                            yield shards.image(element, b), None
+                            yield shards.image(element, b)
 
     def decide(
         keys: _KeySet, shard_id: int, canonical: Callable[[int], bool], tally: _Tally
-    ) -> Iterator[tuple[int, Optional[Witness]]]:
+    ) -> Iterator[int]:
         nonlocal failed
         sources = keys.sources(shard_id)
         masks = keys.shard(shard_id, sources)
@@ -561,11 +560,9 @@ def _degree_verdicts(
                     todo |= grow
                 if reached == full:
                     continue
-            built = None
-            if not exact:
-                built = _key_witness(group, n, keys.degree, b, base, m, sweep_cap)
-                if built is None:
-                    continue
+            # past the first failing degree, members decide (and again if drawn)
+            elif _key_witness(group, n, keys.degree, b, base, m, sweep_cap) is None:
+                continue
             if not failed:
                 failed = keys.degree
                 if not find_all:
@@ -573,10 +570,8 @@ def _degree_verdicts(
                     keys.keep = -1
                     keys.kept.clear()
                     keys.readers.clear()
-            yield b, built
-            # the rest of b's tail-row orbit, its witnesses built when drawn
-            for image in shards.arrangements(b)[1:]:
-                yield image, None
+            # b and the rest of its tail-row orbit
+            yield from shards.arrangements(b)
 
     for d in range(2, d_max + 1):
         try:

@@ -221,6 +221,34 @@ def test_a_search_without_find_all_builds_one_witness(monkeypatch, run, disconne
         assert len(result.witnesses) == 1
 
 
+@pytest.mark.parametrize(
+    "group,n,d_max,m,calls",
+    [
+        (Z3, 3, 5, 2, 132),
+        (Z2xZ2, 3, 6, 3, 3201),
+        (Z3, 5, 4, 2, 1698),
+        (Z4, 3, 5, 2, 2279),
+    ],
+    ids=["z3-n3-d5", "z2x2-n3-d6", "z3-n5-d4", "z4-n3-d5"],
+)
+def test_a_find_all_sweep_builds_members_per_key_past_the_failure_and_per_witness(
+    monkeypatch, group, n, d_max, m, calls
+):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return _key_witness(*args)
+
+    monkeypatch.setattr(sweep_module, "_key_witness", counting)
+    report = fc.certify_degree(group, n, d_max, m, find_all=True)
+    failing = min(w.degree for w in report.witnesses)
+    past = sum(s.decided_count for s in report.per_degree if s.degree > failing)
+    # each key decided past the first failing degree is built once to
+    # decide it, and each witness once more when it is drawn
+    assert len(built) == past + len(report.witnesses) == calls
+
+
 def test_certify_capacity_error_names_the_degree():
     with pytest.raises(CapacityError) as err:
         fc.certify_degree(Z2, 6, 4, 2, sweep_cap=1000)
@@ -373,7 +401,7 @@ def test_witness_from_json_rejects_impossible_witnesses():
         fc.witness_from_json(Z3, 3, same_member)
 
 
-def test_fiber_verdict_is_threadsafe_shape():
+def test_key_witness_is_the_lowest_pair_of_two_components():
     # helper contract: the witness of a fiber key is member 0 and the first
     # member outside member 0's component, in ascending key order, and a
     # connected fiber, a singleton among them, has none
@@ -398,7 +426,7 @@ def test_fiber_verdict_is_threadsafe_shape():
     ],
     ids=["z3-n3-m2", "z3-n3-m3", "z3-n4-m2", "z2x2-n3-m2", "z2x2-n3-m3"],
 )
-def test_fiber_verdict_matches_components(group, n, d_max, m):
+def test_key_witness_matches_components(group, n, d_max, m):
     # the sweep's check of one key against the components of its fiber
     base = d_max + 1
     for d in range(2, d_max + 1):
@@ -1195,6 +1223,9 @@ def test_orbit_sizes_from_row_tables_match_the_carrier_tables(factors, n):
     _, _, _, ids = _key_classes(group, n, d_max)
     reps = _orbit_reps(group, n, d_max)
     assert later.reps[2] == []
+    # the row tables hold the least row of each shift orbit alone
+    for tables in (shards, later):
+        assert set(tables.lows) == set(tables.spread)
     for d in range(2, d_max + 1):
         if d >= 3:
             assert later.reps[d] == shards.reps[d]
