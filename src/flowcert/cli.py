@@ -83,6 +83,15 @@ def _dump(data: dict) -> str:
     return json.dumps(data, sort_keys=True)
 
 
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` path that cannot be written, before any work."""
+    target = Path(path)
+    if target.is_dir():
+        raise UsageError(f"{path}: is a directory")
+    if not os.access(target if target.exists() else target.parent, os.W_OK):
+        raise UsageError(f"{path}: cannot be written")
+
+
 def _write(args, text: str) -> None:
     if getattr(args, "out", None):
         try:
@@ -313,6 +322,8 @@ def run_command(argv: Sequence[str]) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.handler(args)
     except (UsageError, PreconditionError, ShapeError) as exc:
         _emit_error("usage", exc)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product, takewhile
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import CapacityError
@@ -214,9 +214,10 @@ class _ShardOrbits:
     the shard rows among themselves, so it maps shards onto shards.  The
     rep of an orbit is its least id.  The sweep builds the reps of every
     degree it walks, from ``first`` up, and the shards one degree down that
-    the shards it builds read; the row, shift-orbit and rep tables are
-    built for the degrees it walks alone, and a shard's sources and readers
-    are read off the digits of its id.  Within a shard, :meth:`canonical` and
+    the shards it builds read; the shift-orbit and rep tables are built for
+    the degrees it walks alone, each orbit from the first of its rows with
+    a count at code 0, and a shard's sources and readers are read off the
+    digits of its id.  Within a shard, :meth:`canonical` and
     :meth:`arrangements` read the tail rows, the rows after the shard rows.
 
     A row of counts is handled as its value, its digits in base
@@ -227,11 +228,10 @@ class _ShardOrbits:
     def __init__(self, group: Group, n: int, d_max: int, first: int = 2):
         q, base = group.order, d_max + 1
         self.add, self.negation = add_table(group), neg_table(group)
-        identity = tuple(range(q))
         if len(group.factors) == 1:
             self.autos = automorphisms(group)
         else:
-            self.autos = list(dict.fromkeys([identity, self.negation]))
+            self.autos = list(dict.fromkeys([tuple(range(q)), self.negation]))
         self.n, self.q, self.base, self.width = n, q, base, base**q
         self.head = 3 if n >= 5 else min(n - 1, 2)  # s, the shard rows
         self.scale = self.width ** (n - self.head)  # a key's shard id is key // scale
@@ -239,7 +239,8 @@ class _ShardOrbits:
         self.units = units = [base ** (q - 1 - v) for v in range(q)]
         # per shard row, last first, its place in a shard id
         self.places = [self.width**i for i in range(self.head)]
-        shifts = [self.perm(identity, t) for t in range(q)]
+        # per automorphism phi, per code v, the unit values units[phi(v) + t] by shift t
+        tables = [[[units[self.add[t][v]] for t in range(q)] for v in phi] for phi in self.autos]
         # per least row of a shift orbit, for each automorphism, the least
         # row of its image's orbit, and how many rows its orbit holds: the
         # tables that rep tests and orbit sizes read
@@ -248,17 +249,19 @@ class _ShardOrbits:
         # per degree, its reps, ascending
         self.reps: list[list[int]] = [[] for _ in range(d_max + 1)]
         for d in range(first, d_max + 1):
-            rows = self.rows(d)
-            # the least row of each shift orbit is met first
-            least, low = [], {}
-            for r in rows:
-                if r not in low:
-                    least.append(r)
-                    orbit = dict.fromkeys(self.move(r, t) for t in shifts)
-                    low.update(dict.fromkeys(orbit, r))
-                    self.spread[r] = len(orbit)
+            # each shift orbit holds a row with a count at code 0, whose d codes
+            # lead the combinations; its codes' values summed per shift are the orbit
+            orbits: dict[int, tuple] = {}
+            rows = combinations_with_replacement(range(q), d)
+            for codes in takewhile(lambda codes: not codes[0], rows):
+                orbit = set(map(sum, zip(*map(tables[0].__getitem__, codes))))
+                if (low := min(orbit)) not in orbits:
+                    orbits[low] = len(orbit), codes
+            least = sorted(orbits)
             for r in least:
-                self.lows[r] = (r,) + tuple(low[self.move(r, phi)] for phi in self.autos[1:])
+                self.spread[r], codes = orbits[r]
+                images = (zip(*map(table.__getitem__, codes)) for table in tables[1:])
+                self.lows[r] = (r,) + tuple(min(map(sum, image)) for image in images)
             # a rep's rows are each the least of their shifts, in ascending
             # order, and no other automorphism (Z2^k has none) gives less
             heads = combinations_with_replacement(least, self.head)
@@ -266,10 +269,6 @@ class _ShardOrbits:
                 heads = (h for h in heads if self.least(h) == h)
             self.reps[d] = list(map(self.join, heads))
         self.last = set(self.reps[-1])  # the reps of K[d_max]
-
-    def rows(self, d: int) -> list[int]:
-        """The row values of degree ``d``, the sums of d units, ascending."""
-        return sorted(map(sum, combinations_with_replacement(self.units, d)))
 
     def split(self, number: int, count: int) -> list[int]:
         """The ``count`` rows of ``number``, row 0 first."""
@@ -411,7 +410,8 @@ class _ShardOrbits:
         count, scale, width = self.n - self.head, self.scale, self.width
         if count <= 2:
             return lambda b: b % scale // width <= b % width
-        tails = set(map(self.join, combinations_with_replacement(self.rows(d), count)))
+        rows = sorted(map(sum, combinations_with_replacement(self.units, d)))
+        tails = set(map(self.join, combinations_with_replacement(rows, count)))
         return lambda b: b % scale in tails
 
     def arrangements(self, key: int) -> list[int]:

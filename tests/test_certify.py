@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import threading
+import tracemalloc
 import weakref
 from collections import Counter
 from itertools import permutations, product
@@ -1213,7 +1214,7 @@ def test_isomorphic_groups_give_the_same_counts_and_verdicts(n, d_max, m):
     # the layouts with fewer than two shard rows, for each kind of group
     + [([3], 1), ([2, 2], 1), ([2, 2], 2), ([5], 1), ([5], 2), ([6], 1), ([2, 3], 1)]
     # product groups with elements of order > 2, whose negation moves keys
-    + [([3, 3], 2), ([3, 3], 3), ([2, 4], 3)],
+    + [([3, 3], 2), ([3, 3], 3), ([2, 4], 3), ([5, 5], 2)],
 )
 def test_orbit_sizes_from_row_tables_match_the_carrier_tables(factors, n):
     group, d_max = fc.make_group(factors), 4
@@ -1240,6 +1241,21 @@ def test_orbit_sizes_from_row_tables_match_the_carrier_tables(factors, n):
         counts = Counter(reps[d].values())
         assert sizes == [counts[rep] for rep in shards.reps[d]]
         assert sum(sizes) == len(ids[d])
+
+
+def test_orbit_tables_hold_no_entry_per_row_value():
+    # Z5xZ5 has 23,725 row values of degrees 2 to 4 and 949 shift orbits;
+    # the tables are read off each orbit's rows with a count at code 0, so
+    # their build peaks at 0.6 MiB (2.3 MiB when every row value was
+    # sorted and mapped to its orbit's least row)
+    tracemalloc.start()
+    try:
+        tables = sweep_module._ShardOrbits(fc.make_group([5, 5]), 2, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tables.lows) == len(tables.spread) == 949
+    assert peak < 1 << 20
 
 
 def test_the_sweep_reads_reps_only_while_it_builds_the_orbit_tables(monkeypatch):

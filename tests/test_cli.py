@@ -388,6 +388,17 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "usage"
 
 
+def test_an_unwritable_out_is_refused_before_the_sweep(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "certify", "--group", "2", "--n", "3", "--dmax", "3",
+                         "--m", "2", "--out", str(target))
+    assert code == EXIT_USAGE and out == ""
+    # the one line on stderr is the error: the sweep never ran
+    assert "elapsed:" not in err
+    assert json.loads(err)["error"]["type"] == "usage"
+    assert not target.parent.exists()
+
+
 def test_library_argument_errors_are_usage_errors(tmp_path, capsys):
     a = write_rows(tmp_path, "a.json", [[0, 0, 0]])
     for argv in (
