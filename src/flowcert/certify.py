@@ -222,7 +222,7 @@ def certify_degree(
     started = time.monotonic()
     per_degree: list[DegreeStats] = []
     witnesses: list[Witness] = []
-    for d, multisets, tally, found in _degree_verdicts(group, n, d_max, m, sweep_cap, find_all, 2):
+    for d, multisets, tally, found in _degree_verdicts(group, n, d_max, m, sweep_cap, find_all):
         witnesses.extend(found)
         per_degree.append(
             DegreeStats(
@@ -330,10 +330,10 @@ def find_indispensable(
     degree; None only means the range [2, d_max] is clean.
     """
     n, d_max, m, sweep_cap = _check_sweep(n, d_max, m, sweep_cap)
-    # no verdict of a degree <= m is drawn, so none of its keys is built but
-    # those that later degrees read
-    for _, _, _, found in _degree_verdicts(group, n, d_max, m, sweep_cap, False, m + 1):
-        for witness in found:
+    # no verdict of a degree <= m is drawn, so neither its reps nor its orbit
+    # tables are built, nor any of its keys but those that later degrees read
+    for d, _, _, found in _degree_verdicts(group, n, d_max, m, sweep_cap, False):
+        if d > m and (witness := next(found, None)) is not None:
             return witness
     return None
 

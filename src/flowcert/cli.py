@@ -88,7 +88,8 @@ def _check_out(path: str) -> None:
     target = Path(path)
     if target.is_dir():
         raise UsageError(f"{path}: is a directory")
-    if not os.access(target if target.exists() else target.parent, os.W_OK):
+    parent = target.parent
+    if not parent.is_dir() or not os.access(target if target.exists() else parent, os.W_OK):
         raise UsageError(f"{path}: cannot be written")
 
 

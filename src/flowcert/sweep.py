@@ -213,19 +213,19 @@ class _ShardOrbits:
     K[d] and S(b) onto S(g b), and keeps every verdict.  It moves
     the shard rows among themselves, so it maps shards onto shards.  The
     rep of an orbit is its least id.  The sweep builds the reps of every
-    degree it walks, from ``first`` up, and the shards one degree down that
-    the shards it builds read; the shift-orbit and rep tables are built for
-    the degrees it walks alone, each orbit from the first of its rows with
-    a count at code 0, and a shard's sources and readers are read off the
-    digits of its id.  Within a shard, :meth:`canonical` and
-    :meth:`arrangements` read the tail rows, the rows after the shard rows.
+    degree it walks, and the shards one degree down that the shards it
+    builds read.  :meth:`reps` builds a degree's reps and shift-orbit
+    tables when the walk first reads it: ``certify_degree(Z7, 3, 7, 2)``
+    builds degrees 2 and 3 alone, in 2 ms, not 210 ms for 2 to 7.  A
+    shard's sources and readers are read off its id's digits; within a
+    shard, :meth:`canonical` and :meth:`arrangements` read the tail rows.
 
     A row of counts is handled as its value, its digits in base
     d_max + 1, column 0 most significant.  The shard rows of a key are any
     s rows of its degree: row n - 1 takes whatever the flows need.
     """
 
-    def __init__(self, group: Group, n: int, d_max: int, first: int = 2):
+    def __init__(self, group: Group, n: int, d_max: int):
         q, base = group.order, d_max + 1
         self.add, self.negation = add_table(group), neg_table(group)
         if len(group.factors) == 1:
@@ -240,35 +240,38 @@ class _ShardOrbits:
         # per shard row, last first, its place in a shard id
         self.places = [self.width**i for i in range(self.head)]
         # per automorphism phi, per code v, the unit values units[phi(v) + t] by shift t
-        tables = [[[units[self.add[t][v]] for t in range(q)] for v in phi] for phi in self.autos]
-        # per least row of a shift orbit, for each automorphism, the least
-        # row of its image's orbit, and how many rows its orbit holds: the
-        # tables that rep tests and orbit sizes read
+        self.tables = [[[units[row[v]] for row in self.add] for v in phi] for phi in self.autos]
+        # per least row of a shift orbit, for each automorphism, the least row
+        # of its image's orbit, and how many rows its orbit holds; a row's
+        # digits are its counts, so each degree adds entries of its own
         self.lows: dict[int, tuple[int, ...]] = {}
         self.spread: dict[int, int] = {}
-        # per degree, its reps, ascending
-        self.reps: list[list[int]] = [[] for _ in range(d_max + 1)]
-        for d in range(first, d_max + 1):
+        self.built: dict[int, list[int]] = {}
+        self.last: Optional[set[int]] = None  # the reps of K[d_max], once read
+
+    def reps(self, d: int) -> list[int]:
+        """The reps of K[d], ascending, built with degree d's orbit tables on first call."""
+        if d not in self.built:
             # each shift orbit holds a row with a count at code 0, whose d codes
             # lead the combinations; its codes' values summed per shift are the orbit
             orbits: dict[int, tuple] = {}
-            rows = combinations_with_replacement(range(q), d)
+            rows = combinations_with_replacement(range(self.q), d)
             for codes in takewhile(lambda codes: not codes[0], rows):
-                orbit = set(map(sum, zip(*map(tables[0].__getitem__, codes))))
+                orbit = set(map(sum, zip(*map(self.tables[0].__getitem__, codes))))
                 if (low := min(orbit)) not in orbits:
                     orbits[low] = len(orbit), codes
             least = sorted(orbits)
             for r in least:
                 self.spread[r], codes = orbits[r]
-                images = (zip(*map(table.__getitem__, codes)) for table in tables[1:])
+                images = (zip(*map(table.__getitem__, codes)) for table in self.tables[1:])
                 self.lows[r] = (r,) + tuple(min(map(sum, image)) for image in images)
             # a rep's rows are each the least of their shifts, in ascending
             # order, and no other automorphism (Z2^k has none) gives less
             heads = combinations_with_replacement(least, self.head)
             if len(self.autos) > 1:
                 heads = (h for h in heads if self.least(h) == h)
-            self.reps[d] = list(map(self.join, heads))
-        self.last = set(self.reps[-1])  # the reps of K[d_max]
+            self.built[d] = list(map(self.join, heads))
+        return self.built[d]
 
     def split(self, number: int, count: int) -> list[int]:
         """The ``count`` rows of ``number``, row 0 first."""
@@ -358,6 +361,8 @@ class _ShardOrbits:
         ids = [shard_id]
         for place in self.places:
             ids = [h + place * u for h in ids for u in self.units]
+        if self.last is None:
+            self.last = set(self.reps(self.base - 1))
         last = self.last
         return sum(h in last for h in ids)
 
@@ -434,17 +439,17 @@ class _Tally:
 
 
 def _degree_verdicts(
-    group: Group, n: int, d_max: int, m: int, sweep_cap: int, find_all: bool, first: int
+    group: Group, n: int, d_max: int, m: int, sweep_cap: int, find_all: bool
 ) -> Iterator[tuple[int, int, _Tally, Iterator[Witness]]]:
     """For each degree d in [2, d_max], ``(d, multiset count, tally,
     witnesses)``, where the witnesses are a generator of :class:`Witness`
     objects, each built from its key when drawn: the least disconnected
     key's alone, or with ``find_all`` one per disconnected fiber, in
     ascending key order.  They are drawn in full before the next degree
-    is asked for, from degree ``first`` up (2, or m + 1 for a caller that
-    needs no verdict of a degree <= m), and not at all below it; once
-    drawn, the tally counts the fibers of the degree and the disconnected
-    ones.
+    is asked for, or not at all, as a caller that needs no verdict of a
+    degree <= m does; a degree whose verdicts are not drawn has no reps or
+    orbit tables built.  Once drawn, the tally counts the fibers of the
+    degree and the disconnected ones.
 
     Arguments come from :func:`flowcert.certify._check_sweep`.  Each
     degree is sized against ``sweep_cap`` before any of it is built.
@@ -515,7 +520,7 @@ def _degree_verdicts(
         # the reps in key order: each rep's disconnected keys, then, with
         # find_all, their images in the other shards of its orbit
         canonical = shards.canonical(keys.degree)
-        for rep in shards.reps[keys.degree]:
+        for rep in shards.reps(keys.degree):
             bad = []
             # one generator per rep: its frame, which holds the shard and
             # its sources, is gone before the next shard is built
@@ -582,7 +587,7 @@ def _degree_verdicts(
             ) from exc
         if d == 2:
             codes = flow_keys(flows_on(group, n), base)
-            shards = _ShardOrbits(group, n, d_max, first)
+            shards = _ShardOrbits(group, n, d_max)
             class_of = [c // shards.scale for c in codes]
             classes: dict[int, list[tuple[int, int]]] = {}
             for i, c in enumerate(codes):

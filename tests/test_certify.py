@@ -1219,28 +1219,37 @@ def test_isomorphic_groups_give_the_same_counts_and_verdicts(n, d_max, m):
 def test_orbit_sizes_from_row_tables_match_the_carrier_tables(factors, n):
     group, d_max = fc.make_group(factors), 4
     shards = sweep_module._ShardOrbits(group, n, d_max)
-    # tables built from degree 3 on, as a witness search with m = 2 builds them
-    later = sweep_module._ShardOrbits(group, n, d_max, 3)
+    # tables built from degree 3 on, as a witness search with m = 2 builds
+    # them, and read from the top degree down
+    later = sweep_module._ShardOrbits(group, n, d_max)
+    two = sweep_module._ShardOrbits(group, n, d_max)
+    for d in range(d_max, 2, -1):
+        later.reps(d)
+    two.reps(2)
     _, _, _, ids = _key_classes(group, n, d_max)
     reps = _orbit_reps(group, n, d_max)
-    assert later.reps[2] == []
+    assert 2 not in later.built
     # the row tables hold the least row of each shift orbit alone
     for tables in (shards, later):
         assert set(tables.lows) == set(tables.spread)
     for d in range(2, d_max + 1):
         if d >= 3:
-            assert later.reps[d] == shards.reps[d]
-            assert [later.size(rep) for rep in later.reps[d]] == [
-                shards.size(rep) for rep in shards.reps[d]
+            assert later.reps(d) == shards.reps(d)
+            assert [later.size(rep) for rep in later.reps(d)] == [
+                shards.size(rep) for rep in shards.reps(d)
             ]
         # the reps are the least ids of the orbits of the brute-force group,
         # and their orbits partition the shard ids of the degree
-        assert shards.reps[d] == sorted(h for h, rep in reps[d].items() if h == rep)
-        sizes = [shards.size(rep) for rep in shards.reps[d]]
-        assert sizes == [len(shards.carriers(rep)) for rep in shards.reps[d]]
+        assert shards.reps(d) == sorted(h for h, rep in reps[d].items() if h == rep)
+        sizes = [shards.size(rep) for rep in shards.reps(d)]
+        assert sizes == [len(shards.carriers(rep)) for rep in shards.reps(d)]
         counts = Counter(reps[d].values())
-        assert sizes == [counts[rep] for rep in shards.reps[d]]
+        assert sizes == [counts[rep] for rep in shards.reps(d)]
         assert sum(sizes) == len(ids[d])
+    # each degree's tables are its own: those of degrees 3 up, read out of
+    # order, and those of degree 2 make up the tables of every degree
+    assert later.lows | two.lows == shards.lows and not later.lows.keys() & two.lows.keys()
+    assert later.spread | two.spread == shards.spread
 
 
 def test_orbit_tables_hold_no_entry_per_row_value():
@@ -1251,6 +1260,8 @@ def test_orbit_tables_hold_no_entry_per_row_value():
     tracemalloc.start()
     try:
         tables = sweep_module._ShardOrbits(fc.make_group([5, 5]), 2, 4)
+        for d in range(2, 5):
+            tables.reps(d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1267,7 +1278,9 @@ def test_the_sweep_reads_reps_only_while_it_builds_the_orbit_tables(monkeypatch)
         return original(self, rows)
 
     monkeypatch.setattr(sweep_module._ShardOrbits, "least", counting)
-    sweep_module._ShardOrbits(Z5, 3, 5)
+    shards = sweep_module._ShardOrbits(Z5, 3, 5)
+    for d in range(2, 6):
+        shards.reps(d)
     tables = len(calls)
     assert tables
     calls.clear()
@@ -1275,6 +1288,40 @@ def test_the_sweep_reads_reps_only_while_it_builds_the_orbit_tables(monkeypatch)
     assert report.per_degree[-1].disconnected_count
     # the sweep walks the reps; no shard id is tested against its rep
     assert len(calls) == tables
+
+
+@pytest.mark.parametrize(
+    "call,degrees",
+    [
+        # fails at degree 3, so degrees 4 to 7 are never read
+        (lambda: fc.certify_degree(fc.make_group([7]), 3, 7, 2), [2, 3]),
+        # draws no verdict of a degree <= m
+        (lambda: fc.find_indispensable(fc.make_group([7]), 3, 2, d_max=7), [3]),
+        (lambda: fc.find_indispensable(Z2xZ2, 4, 3), [4]),
+        # a verified sweep reads every degree; readers() asks for K[d_max]
+        # before the walk reaches it
+        (lambda: fc.certify_degree(Z2, 5, 4, 2), [2, 3, 4]),
+        (lambda: fc.certify_degree(Z3, 3, 4, 3), [2, 3, 4]),
+    ],
+    ids=["z7-certify", "z7-witness", "z2x2-witness", "z2-verified", "z3-verified"],
+)
+def test_orbit_tables_are_built_only_for_the_degrees_the_sweep_reads(
+    monkeypatch, call, degrees
+):
+    built = []
+    original = sweep_module._ShardOrbits.reps
+
+    def recording(self, d):
+        before = len(self.spread)
+        reps = original(self, d)
+        if len(self.spread) > before:
+            built.append(d)
+        return reps
+
+    monkeypatch.setattr(sweep_module._ShardOrbits, "reps", recording)
+    call()
+    # each degree once, in the order the walk first reads it
+    assert built == degrees
 
 
 def test_a_find_all_sweep_enumerates_the_flows_of_its_fibers_once(monkeypatch):

@@ -389,14 +389,19 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
 
 
 def test_an_unwritable_out_is_refused_before_the_sweep(tmp_path, capsys):
-    target = tmp_path / "missing" / "x"
-    code, out, err = run(capsys, "certify", "--group", "2", "--n", "3", "--dmax", "3",
-                         "--m", "2", "--out", str(target))
-    assert code == EXIT_USAGE and out == ""
-    # the one line on stderr is the error: the sweep never ran
-    assert "elapsed:" not in err
-    assert json.loads(err)["error"]["type"] == "usage"
-    assert not target.parent.exists()
+    # a missing parent, and a parent that is a regular file, which
+    # os.access alone passes as writable
+    (tmp_path / "afile").write_text("")
+    for parent in ("missing", "afile"):
+        target = tmp_path / parent / "x"
+        code, out, err = run(capsys, "certify", "--group", "2", "--n", "3", "--dmax", "3",
+                             "--m", "2", "--out", str(target))
+        assert code == EXIT_USAGE and out == "", parent
+        # the one line on stderr is the error: the sweep never ran
+        assert "elapsed:" not in err, parent
+        assert json.loads(err)["error"]["type"] == "usage"
+    assert not (tmp_path / "missing").exists()
+    assert (tmp_path / "afile").read_text() == ""
 
 
 def test_library_argument_errors_are_usage_errors(tmp_path, capsys):
