@@ -38,7 +38,7 @@ from .fibers import (
     signature,
     signature_from_json,
 )
-from .groups import Group, group_from_json, group_to_json, json_fields, strict_int
+from .groups import Group, check_cap, group_from_json, group_to_json, json_fields, strict_int
 from .moves import Move
 from .sweep import Witness, _degree_verdicts, _multiset_key, _SubmultisetIndex
 
@@ -184,10 +184,7 @@ def _check_sweep(n: int, d_max: int, m: int, sweep_cap: int) -> tuple[int, int, 
     d_max = strict_int(d_max, PreconditionError, "d_max")
     if d_max < m:
         raise PreconditionError(f"d_max={d_max} must be >= m={m}")
-    sweep_cap = strict_int(sweep_cap, PreconditionError, "sweep_cap")
-    if sweep_cap < 1:
-        raise PreconditionError(f"sweep_cap must be >= 1, got {sweep_cap}")
-    return strict_int(n, ShapeError, "n"), d_max, m, sweep_cap
+    return strict_int(n, ShapeError, "n"), d_max, m, check_cap(sweep_cap, "sweep_cap")
 
 
 def certify_degree(
@@ -279,6 +276,7 @@ def find_move_path(
     shortest.  The replay of the returned moves transforms m1 into m2 exactly.
     """
     m = _check_move_bound(m, least=1)
+    fiber_cap = check_cap(fiber_cap, "fiber_cap")
     if not compatible(m1, m2):
         raise IncompatibilityError("endpoint multisets are not compatible")
     if m1 == m2:

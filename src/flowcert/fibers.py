@@ -20,11 +20,10 @@ from .errors import (
     CapacityError,
     FlowcertError,
     InvalidFiberError,
-    PreconditionError,
     ShapeError,
 )
 from .flows import Flow, enumerate_flows, flow_count, make_flow
-from .groups import Group, json_fields, strict_int
+from .groups import Group, check_cap, json_fields, strict_int
 
 
 @dataclass(frozen=True)
@@ -186,7 +185,7 @@ def enumerate_fiber(
     """All degree-d multisets with the given signature, in canonical order:
     :func:`_enumerate_members`, once the arguments are checked."""
     n = strict_int(n, ShapeError, "n")
-    cap = strict_int(cap, PreconditionError, "cap")
+    cap = check_cap(cap)
     return _enumerate_members(sig, group, n, _check_signature(sig, group, n), cap)
 
 
@@ -248,7 +247,7 @@ def multiset_count(group: Group, n: int, d: int) -> int:
 def sweep_size(group: Group, n: int, d: int, cap: int) -> int:
     """Number of degree-d multisets; :class:`CapacityError` above ``cap``."""
     total = multiset_count(group, n, d)
-    cap = strict_int(cap, PreconditionError, "cap")
+    cap = check_cap(cap)
     if total > cap:
         raise CapacityError(
             f"sweep over {total} degree-{d} multisets exceeds the cap of {cap}",

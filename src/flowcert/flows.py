@@ -17,10 +17,9 @@ from .errors import (
     CapacityError,
     InvalidPermutationError,
     NotAFlowError,
-    PreconditionError,
     ShapeError,
 )
-from .groups import Group, add_table, check_element, neg_table, strict_int
+from .groups import Group, add_table, check_cap, check_element, neg_table, strict_int
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ def enumerate_flows(group: Group, n: int, *, cap: int = DEFAULT_FLOW_CAP) -> lis
     """
     n = _check_n(n)
     total = flow_count(group, n)
-    cap = strict_int(cap, PreconditionError, "cap")
+    cap = check_cap(cap)
     if total > cap:
         raise CapacityError(
             f"{total} flows exceed the cap of {cap}", required=total, cap=cap

@@ -18,6 +18,7 @@ from .errors import (
     FlowcertError,
     InvalidElementError,
     InvalidGroupError,
+    PreconditionError,
     ShapeError,
     UnsupportedGroupError,
 )
@@ -40,6 +41,15 @@ def strict_int(value, error: type[FlowcertError], what: str) -> int:
         except TypeError:
             pass
     raise error(f"{what} must be an integer, got {value!r}")
+
+
+def check_cap(cap, what: str = "cap") -> int:
+    """``cap`` as an int of at least 1.  A cap below one is a bad argument,
+    not an exceeded capacity, so it raises :class:`PreconditionError`."""
+    cap = strict_int(cap, PreconditionError, what)
+    if cap < 1:
+        raise PreconditionError(f"{what} must be >= 1, got {cap}")
+    return cap
 
 
 def json_fields(data, what: str, kinds: dict[str, type]) -> tuple:

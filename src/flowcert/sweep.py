@@ -19,7 +19,6 @@ use as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations, product, takewhile
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -209,10 +208,12 @@ class _ShardOrbits:
     automorphism of G (for a product group, the identity or negation, an
     automorphism of every abelian group), shifts rows 0 to s - 1 by t0 to
     t(s-1) and row n - 1 by their negated sum, and may then permute the
-    shard rows.  Each is a bijection of the flows, so it maps K[d] onto
-    K[d] and S(b) onto S(g b), and keeps every verdict.  It moves
-    the shard rows among themselves, so it maps shards onto shards.  The
-    rep of an orbit is its least id.  The sweep builds the reps of every
+    shard rows.  It acts through :attr:`tables`, the same per-automorphism
+    unit values that find the shift orbits: a row's count at code v moves
+    to table[v][t] for its shift t.  Each is a bijection of the flows, so
+    it maps K[d] onto K[d] and S(b) onto S(g b), and keeps every verdict.
+    It moves the shard rows among themselves, so it maps shards onto
+    shards.  The rep of an orbit is its least id.  The sweep builds the reps of every
     degree it walks, and the shards one degree down that the shards it
     builds read.  :meth:`reps` builds a degree's reps and shift-orbit
     tables when the walk first reads it: ``certify_degree(Z7, 3, 7, 2)``
@@ -248,6 +249,7 @@ class _ShardOrbits:
         self.spread: dict[int, int] = {}
         self.built: dict[int, list[int]] = {}
         self.last: Optional[set[int]] = None  # the reps of K[d_max], once read
+        self.elements: Optional[list[tuple]] = None  # once a carrier is asked for
 
     def reps(self, d: int) -> list[int]:
         """The reps of K[d], ascending, built with degree d's orbit tables on first call."""
@@ -287,10 +289,6 @@ class _ShardOrbits:
             out = out * self.width + row
         return out
 
-    def top(self, shard_id: int) -> tuple[int, ...]:
-        """The shard rows of shard ``shard_id``."""
-        return tuple(self.split(shard_id, self.head))
-
     def sources(self, shard_id: int) -> list[int]:
         """The shard ids one degree down that shard ``shard_id`` reads, one
         unit less in each of its rows, ascending: each row's nonzero digits
@@ -300,19 +298,6 @@ class _ShardOrbits:
             rest, row = divmod(rest, width)
             ids = [h - place * u for u in self.units if row // u % base for h in ids]
         return ids
-
-    def perm(self, phi: tuple[int, ...], t: int) -> tuple[int, ...]:
-        """The code permutation v -> phi(v) + t."""
-        return tuple(self.add[t][phi[v]] for v in range(self.q))
-
-    def move(self, value: int, perm: tuple[int, ...]) -> int:
-        """The value of the row ``value`` with column v moved to perm[v]."""
-        out, base, units, v = 0, self.base, self.units, self.q - 1
-        while value:
-            value, c = divmod(value, base)
-            out += c * units[perm[v]]
-            v -= 1
-        return out
 
     def images(self, rows: Iterable[int]) -> set[tuple[int, ...]]:
         """Per automorphism, the least rows of the shift orbits of the
@@ -344,7 +329,7 @@ class _ShardOrbits:
         orbit in its row; orbits that an automorphism maps onto each other
         have equal sizes.
         """
-        rows, spread = self.top(shard_id), self.spread
+        rows, spread = self.split(shard_id, self.head), self.spread
         count = 1 if len(self.autos) == 1 else len(self.images(rows))
         # the arrangements one factor at a time: (i + 1) over the length of
         # the run of equal orbits that ends at i
@@ -366,39 +351,43 @@ class _ShardOrbits:
         last = self.last
         return sum(h in last for h in ids)
 
-    @cached_property
-    def elements(self) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
-        """Every element as (the order of the shard rows, one code
-        permutation per row)."""
-        n, q, add, neg, head = self.n, self.q, self.add, self.negation, self.head
-        shifts = []
-        for ts in product(range(q), repeat=head):
-            total = 0
-            for t in ts:
-                total = add[total][t]
-            shifts.append(ts + (0,) * (n - head - 1) + (neg[total],))
-        return [
-            (order, tuple(self.perm(phi, t) for t in ts))
-            for phi in self.autos
-            for ts in shifts
-            for order in permutations(range(head))
-        ]
-
     def image(self, element, key: int) -> int:
         """The key ``key`` of n rows under ``element``."""
-        order, perms = element
-        rows = [self.move(row, perm) for row, perm in zip(self.split(key, self.n), perms)]
+        order, table, shifts = element
+        base, rows = self.base, []
+        for row, t in zip(self.split(key, self.n), shifts):
+            out = 0
+            for column in reversed(table):
+                row, c = divmod(row, base)
+                out += c * column[t]
+            rows.append(out)
         rows[: self.head] = [rows[i] for i in order]
         return self.join(rows)
 
     def carriers(self, rep: int) -> dict[int, tuple]:
         """Per shard id of the orbit of shard ``rep``, an element that maps
-        shard ``rep`` onto it."""
+        shard ``rep`` onto it.  Every element, as (the order of the shard
+        rows, one automorphism's table of :attr:`tables`, the shift of each
+        row), is listed on the first call."""
+        if self.elements is None:
+            n, q, add, neg, head = self.n, self.q, self.add, self.negation, self.head
+            shifts = []
+            for ts in product(range(q), repeat=head):
+                total = 0
+                for t in ts:
+                    total = add[total][t]
+                shifts.append(ts + (0,) * (n - head - 1) + (neg[total],))
+            self.elements = [
+                (order, table, ts)
+                for table in self.tables
+                for ts in shifts
+                for order in permutations(range(head))
+            ]
         scale = self.scale
-        table: dict[int, tuple] = {}
+        found: dict[int, tuple] = {}
         for element in self.elements:
-            table.setdefault(self.image(element, rep * scale) // scale, element)
-        return table
+            found.setdefault(self.image(element, rep * scale) // scale, element)
+        return found
 
     def canonical(self, d: int) -> Callable[[int], bool]:
         """The test that a key of K[d] is the least of its tail-row orbit:

@@ -466,12 +466,22 @@ def test_sweep_arguments_are_checked_for_every_caller():
         fc.find_indispensable(Z3, 3, 3, d_max=2)
     with pytest.raises(PreconditionError):
         fc.find_indispensable(Z3, 3, 1)
+    w = frozen_witness(Z3, 3, WITNESS_Z3_N3)
     for cap in (0, -1):
         with pytest.raises(PreconditionError):
             fc.find_indispensable(Z3, 3, 2, sweep_cap=cap)
-        # a cap below one is a bad argument, not an exceeded capacity
+        # a cap below one is a bad argument, not an exceeded capacity, for
+        # the sweep and for every enumeration, which raised CapacityError
         with pytest.raises(PreconditionError):
             fc.certify_degree(Z3, 3, 4, 2, sweep_cap=cap)
+        with pytest.raises(PreconditionError):
+            fc.enumerate_flows(Z3, 2, cap=cap)
+        with pytest.raises(PreconditionError):
+            fc.enumerate_fiber(w.signature, Z3, 3, cap=cap)
+        with pytest.raises(PreconditionError):
+            fc.enumerate_all_fibers(Z3, 2, 2, cap=cap)
+        with pytest.raises(PreconditionError):
+            fc.find_move_path(w.first, w.second, 2, fiber_cap=cap)
     with pytest.raises(PreconditionError):
         fc.certify_degree(Z3, 3, 4, 2, sweep_cap=0, find_all=True)
 
@@ -1226,8 +1236,13 @@ def test_orbit_sizes_from_row_tables_match_the_carrier_tables(factors, n):
     for d in range(d_max, 2, -1):
         later.reps(d)
     two.reps(2)
-    _, _, _, ids = _key_classes(group, n, d_max)
+    codes, scale, _, ids = _key_classes(group, n, d_max)
     reps = _orbit_reps(group, n, d_max)
+    # K[d] by set sums of the flow keys, where K[4] holds at most 20,475 keys
+    keys = [{0}]
+    if n <= 3 and len(codes) <= 25:
+        for _ in range(d_max):
+            keys.append({k + c for k in keys[-1] for c in codes})
     assert 2 not in later.built
     # the row tables hold the least row of each shift orbit alone
     for tables in (shards, later):
@@ -1246,6 +1261,16 @@ def test_orbit_sizes_from_row_tables_match_the_carrier_tables(factors, n):
         counts = Counter(reps[d].values())
         assert sizes == [counts[rep] for rep in shards.reps(d)]
         assert sum(sizes) == len(ids[d])
+        if d < len(keys):
+            # each carrier maps the keys of its rep's shard one to one onto
+            # the keys of its own shard
+            shard_keys: dict[int, list[int]] = {}
+            for k in sorted(keys[d]):
+                shard_keys.setdefault(k // scale, []).append(k)
+            for rep in shards.reps(d):
+                for h, element in shards.carriers(rep).items():
+                    images = sorted(shards.image(element, k) for k in shard_keys[rep])
+                    assert images == shard_keys[h]
     # each degree's tables are its own: those of degrees 3 up, read out of
     # order, and those of degree 2 make up the tables of every degree
     assert later.lows | two.lows == shards.lows and not later.lows.keys() & two.lows.keys()

@@ -311,6 +311,8 @@ def test_run_config_validation(capsys):
         witness + ["--n", "0"],
         witness + ["--m", "5"],
         witness + ["--sweep-cap", "0"],
+        ["flows", "--group", "2", "--n", "3", "--flow-cap", "0"],
+        ["export-matrix", "--group", "2", "--n", "3", "--flow-cap", "0"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == "", argv
