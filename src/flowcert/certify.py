@@ -233,8 +233,6 @@ def certify_degree(
         )
         if progress is not None:
             progress(str(per_degree[-1]))
-        if tally.disconnected and not find_all:
-            break
     if witnesses:
         verdict = "not-verified"
         statement = (

@@ -61,6 +61,13 @@ def _parse_group(text: str) -> Group:
         raise UsageError(f"invalid --group value {text!r}: {exc}")
 
 
+def positive_int(text: str) -> int:
+    """A cap flag's value: an int of at least 1, refused under the flag's name."""
+    if (cap := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {cap}")
+    return cap
+
+
 def load_multiset(path: str, group: Group, n: int) -> FlowMultiset:
     """Read a multiset file: rows bare or under "flows"; errors name the path."""
     from .fibers import multiset_from_rows
@@ -101,10 +108,6 @@ def _write(args, text: str) -> None:
             raise UsageError(f"{args.out}: {exc}")
     else:
         print(text)
-
-
-def _progress(message: str) -> None:
-    print(message, file=sys.stderr)
 
 
 def _cmd_flows(args) -> int:
@@ -198,7 +201,7 @@ def _cmd_certify(args) -> int:
         args.m,
         find_all=args.find_all,
         sweep_cap=args.sweep_cap,
-        progress=_progress,
+        progress=lambda line: print(line, file=sys.stderr),
     )
     decided = sum(s.decided_count for s in report.per_degree)
     covered = sum(s.covered_count for s in report.per_degree)
@@ -262,12 +265,12 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("flows", help="enumerate all flows")
     _add_common(p)
-    p.add_argument("--flow-cap", type=int, default=DEFAULT_FLOW_CAP)
+    p.add_argument("--flow-cap", type=positive_int, default=DEFAULT_FLOW_CAP)
     p.set_defaults(handler=_cmd_flows)
 
     p = subs.add_parser("export-matrix", help="vertex matrix for external toric tools")
     _add_common(p, fmt=False)
-    p.add_argument("--flow-cap", type=int, default=DEFAULT_FLOW_CAP)
+    p.add_argument("--flow-cap", type=positive_int, default=DEFAULT_FLOW_CAP)
     p.add_argument("--out", default=None, help="write output to a file")
     p.set_defaults(handler=_cmd_export_matrix)
 
@@ -282,7 +285,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--m", type=int, required=True, help="move degree bound")
-    p.add_argument("--fiber-cap", type=int, default=DEFAULT_FIBER_CAP)
+    p.add_argument("--fiber-cap", type=positive_int, default=DEFAULT_FIBER_CAP)
     p.set_defaults(handler=_cmd_path)
 
     p = subs.add_parser("certify", help="connectivity sweep over all fibers")
@@ -290,14 +293,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--dmax", type=int, required=True, help="highest degree to sweep")
     p.add_argument("--m", type=int, required=True, help="move degree bound")
     p.add_argument("--find-all", action="store_true", help="keep sweeping past failures")
-    p.add_argument("--sweep-cap", type=int, default=DEFAULT_SWEEP_CAP)
+    p.add_argument("--sweep-cap", type=positive_int, default=DEFAULT_SWEEP_CAP)
     p.set_defaults(handler=_cmd_certify)
 
     p = subs.add_parser("witness", help="first disconnected fiber, if any")
     _add_common(p)
     p.add_argument("--m", type=int, required=True, help="move degree bound")
     p.add_argument("--dmax", type=int, default=4, help="highest degree to scan")
-    p.add_argument("--sweep-cap", type=int, default=DEFAULT_SWEEP_CAP)
+    p.add_argument("--sweep-cap", type=positive_int, default=DEFAULT_SWEEP_CAP)
     p.set_defaults(handler=_cmd_witness)
 
     return parser

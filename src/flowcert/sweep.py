@@ -1,19 +1,18 @@
 """The sweep: every fiber of every degree in [2, d_max], decided in key order.
 
-Up to and including the first degree with a disconnected fiber, each fiber
-is decided from flow masks, without building its members: the mask of a
-signature marks the flows whose removal leaves a signature one degree
-below, and a search over the bits of a fiber's mask reads the masks of
-that degree.  Flow symmetries that map key shards onto shards and keep
-every verdict let the sweep decide only the least shard of each orbit and
-carry its counts and witnesses to the others.  Within such a shard,
-permuting the rows outside the shard id (the tail rows) fixes the shard
-and keeps every verdict, so only the least key of each tail-row orbit, its
-tail rows in non-decreasing order, is decided.  Members are built for
-witnesses and for the fibers past that degree, which only ``find_all``
-reaches; their components come from :class:`_SubmultisetIndex`, the
-adjacency index that the single-fiber checks of :mod:`flowcert.certify`
-use as well.
+A fiber is decided from flow masks, without building its members, unless a
+fiber one flow below it is disconnected: the mask of a signature marks the
+flows whose removal leaves a signature one degree below, and a search over
+the bits of a fiber's mask reads the masks of that degree.  Flow
+symmetries that map key shards onto shards and keep every verdict let the
+sweep decide only the least shard of each orbit and carry its counts and
+witnesses to the others.  Within such a shard, permuting the rows outside
+the shard id (the tail rows) fixes the shard and keeps every verdict, so
+only the least key of each tail-row orbit, its tail rows in non-decreasing
+order, is decided.  Members are built for witnesses and for the fibers one
+flow above a disconnected fiber, which only ``find_all`` reaches; their
+components come from :class:`_SubmultisetIndex`, the adjacency index that
+the single-fiber checks of :mod:`flowcert.certify` use as well.
 """
 
 from __future__ import annotations
@@ -154,6 +153,7 @@ class _KeySet:
         self.kept: dict[int, dict[int, int]] = {0: {0: 0}} if below is None else {}
         # per kept shard of K[d_max - 1], its readers not built yet
         self.readers: dict[int, int] = {}
+        self.disconnected: set[int] = set()  # with find_all, once its verdicts are drawn
 
     def sources(self, shard_id: int) -> dict[int, dict[int, int]]:
         """The shards of K[d - 1] that shard ``shard_id`` reads, by class."""
@@ -444,18 +444,19 @@ def _degree_verdicts(
     degree is sized against ``sweep_cap`` before any of it is built.
 
     A fiber's key is the sum of its members' flow keys in base d_max + 1,
-    and K[d] is the set of the degree-d keys.  Suppose every fiber of
-    degree d - 1 is connected under moves of degree <= m.  The members of
-    fiber b that contain a flow f are then a connected copy of fiber b - f,
-    and two members one move apart share a flow, since m < d.  So fiber b
-    is connected exactly when its flows S(b), the f with b - f in K[d - 1],
-    are connected, f joined to g when b - f - g is in K[d - 2], that is,
+    and K[d] is the set of the degree-d keys.  Let S(b) be the flows f of
+    fiber b, those with b - f in K[d - 1], and suppose each fiber b - f is
+    connected under moves of degree <= m.  The members of fiber b that
+    contain f are then a connected copy of fiber b - f, and two members one
+    move apart share a flow, since m < d.  So fiber b is connected exactly
+    when S(b) is, f joined to g when b - f - g is in K[d - 2], that is,
     when g is in S(b - f).  S(b - f) is a subset of S(b), so a search over
     the bits of S(b) decides fiber b, one probe of K[d - 1] per flow it
-    reaches.  Fibers of degree <= m are connected, so this premise holds up
-    to and including the first degree with a disconnected fiber.  Past it,
-    a fiber's members are built by :func:`_enumerate_members` and their
-    components decide it; they are built again if its witness is drawn.
+    reaches.  Fibers of degree <= m are connected, so the premise fails
+    only for a key one flow above a disconnected key of degree d - 1, which
+    only ``find_all`` sweeps reach: such a fiber's members are built by
+    :func:`_enumerate_members` and their components decide it; they are
+    built again if its witness is drawn.
 
     Each K[d] is a :class:`_KeySet`.  The symmetries of
     :class:`_ShardOrbits` map shards onto shards and keep every verdict,
@@ -466,8 +467,8 @@ def _degree_verdicts(
     over by one element with ``find_all``, and only counted without it,
     which builds no witness past the first.  The least disconnected key is
     therefore a rep's, and met first; with ``find_all``, the keys of a
-    degree are sorted before their witnesses are handed out.  An element is a bijection of
-    the flows, so this holds past the first failing degree too.
+    degree are sorted before their witnesses are handed out, and they are
+    the disconnected keys that the next degree reads.
 
     All leaves of the claw are alike, so any permutation of the rows is a
     bijection of the flows too.  Those of the tail rows, the rows after the
@@ -482,25 +483,27 @@ def _degree_verdicts(
     one a search of every key finds.  Shards are built as the verdicts ask
     for them, or as a shard of K[d + 1] reads them, so a caller that skips
     the verdicts of a degree <= m builds only the shards that the verdicts
-    it does consume read.  Shards below
-    K[d_max - 1] are kept to the end, one of K[d_max - 1] until the last
-    rep of K[d_max] that reads it is built, none of K[d_max]; deciding a
-    shard holds its sources until its last fiber.  Without ``find_all`` no
-    degree past the first disconnected fiber is swept: from that fiber on,
-    its degree keeps no shard.
+    it does consume read.  Shards below K[d_max - 1] are kept to the end,
+    one of K[d_max - 1] until the last rep of K[d_max] that reads it is
+    built, none of K[d_max]; deciding a shard holds its sources until its
+    last fiber.  Without ``find_all`` the sweep ends with the first degree
+    that has a disconnected fiber, which keeps no shard from its witness on.
     """
     base = d_max + 1
-    failed = 0  # the first degree with a disconnected fiber
 
     def verdicts(keys: _KeySet, tally: _Tally) -> Iterator[Witness]:
         found = walk(keys, tally)
         if find_all:
             found = sorted(found)
+            keys.disconnected = set(found)
         # a witness is built when it is drawn
         for key in found:
             yield _key_witness(group, n, keys.degree, key, base, m, sweep_cap)
             if not find_all:
-                # the rest of the degree is only counted
+                # no later degree reads K[d], and its rest is only counted
+                keys.keep = -1
+                keys.kept.clear()
+                keys.readers.clear()
                 for _ in found:
                     pass
                 return
@@ -529,7 +532,6 @@ def _degree_verdicts(
     def decide(
         keys: _KeySet, shard_id: int, canonical: Callable[[int], bool], tally: _Tally
     ) -> Iterator[int]:
-        nonlocal failed
         sources = keys.sources(shard_id)
         masks = keys.shard(shard_id, sources)
         # only the least key of each tail-row orbit is decided
@@ -540,10 +542,15 @@ def _degree_verdicts(
             return
         # flow i's neighbours in fiber b are the mask of b - codes[i]
         below = [sources.get(h) for h in class_of]
-        exact = failed in (0, keys.degree)  # every degree below is connected
+        lower = keys.below.disconnected
         for b in sorted(ours):
-            if exact:
-                full = masks[b]
+            full = masks[b]
+            if lower and any(full >> i & 1 and b - c in lower for i, c in enumerate(codes)):
+                # a fiber b - f is disconnected, so b's members decide it
+                if _key_witness(group, n, keys.degree, b, base, m, sweep_cap) is None:
+                    continue
+            else:
+                # every fiber b - f is connected, so b's flows decide it
                 reached = todo = full & -full
                 while todo and reached != full:
                     low = todo & -todo
@@ -554,16 +561,6 @@ def _degree_verdicts(
                     todo |= grow
                 if reached == full:
                     continue
-            # past the first failing degree, members decide (and again if drawn)
-            elif _key_witness(group, n, keys.degree, b, base, m, sweep_cap) is None:
-                continue
-            if not failed:
-                failed = keys.degree
-                if not find_all:
-                    # no later degree reads K[d]
-                    keys.keep = -1
-                    keys.kept.clear()
-                    keys.readers.clear()
             # b and the rest of its tail-row orbit
             yield from shards.arrangements(b)
 
@@ -585,3 +582,5 @@ def _degree_verdicts(
         keys = _KeySet(keys, classes, shards, d_max)
         tally = _Tally()
         yield d, total, tally, verdicts(keys, tally)
+        if tally.disconnected and not find_all:
+            return

@@ -223,17 +223,18 @@ def test_a_search_without_find_all_builds_one_witness(monkeypatch, run, disconne
 
 
 @pytest.mark.parametrize(
-    "group,n,d_max,m,calls",
+    "group,n,d_max,m,calls,decisions",
     [
-        (Z3, 3, 5, 2, 132),
-        (Z2xZ2, 3, 6, 3, 3201),
-        (Z3, 5, 4, 2, 1698),
-        (Z4, 3, 5, 2, 2279),
+        (Z3, 3, 5, 2, 60, 5),
+        (Z2xZ2, 3, 6, 3, 963, 153),
+        (Z3, 5, 4, 2, 941, 41),
+        (Z4, 3, 5, 2, 1912, 54),
+        (Z2xZ2, 4, 5, 3, 4862, 542),
     ],
-    ids=["z3-n3-d5", "z2x2-n3-d6", "z3-n5-d4", "z4-n3-d5"],
+    ids=["z3-n3-d5", "z2x2-n3-d6", "z3-n5-d4", "z4-n3-d5", "z2x2-n4-d5"],
 )
 def test_a_find_all_sweep_builds_members_per_key_past_the_failure_and_per_witness(
-    monkeypatch, group, n, d_max, m, calls
+    monkeypatch, group, n, d_max, m, calls, decisions
 ):
     built = []
 
@@ -243,11 +244,24 @@ def test_a_find_all_sweep_builds_members_per_key_past_the_failure_and_per_witnes
 
     monkeypatch.setattr(sweep_module, "_key_witness", counting)
     report = fc.certify_degree(group, n, d_max, m, find_all=True)
-    failing = min(w.degree for w in report.witnesses)
-    past = sum(s.decided_count for s in report.per_degree if s.degree > failing)
-    # each key decided past the first failing degree is built once to
-    # decide it, and each witness once more when it is drawn
-    assert len(built) == past + len(report.witnesses) == calls
+    base = d_max + 1
+    codes = flow_keys(fc.enumerate_flows(group, n), base)
+    bad = Counter((w.degree, sum(flow_keys(w.first.flows, base))) for w in report.witnesses)
+    keys = Counter((d, b) for _, _, d, b, *_ in built)
+    # each witness is built once when it is drawn, and a key once more to
+    # decide it only when some fiber one flow below it is disconnected
+    decided = keys - bad
+    assert not bad - keys and sum(keys.values()) == calls
+    assert sum(decided.values()) == decisions
+    assert all(any((d - 1, b - c) in bad for c in codes) for d, b in decided)
+
+
+def test_a_sweep_without_find_all_ends_after_its_first_disconnected_degree():
+    degrees = []
+    for d, _, _, found in sweep_module._degree_verdicts(Z3, 3, 5, 2, DEFAULT_SWEEP_CAP, False):
+        degrees.append(d)
+        list(found)
+    assert degrees == [2, 3]
 
 
 def test_certify_capacity_error_names_the_degree():

@@ -313,10 +313,16 @@ def test_run_config_validation(capsys):
         witness + ["--sweep-cap", "0"],
         ["flows", "--group", "2", "--n", "3", "--flow-cap", "0"],
         ["export-matrix", "--group", "2", "--n", "3", "--flow-cap", "0"],
+        ["path", "--group", "2", "--n", "3", "--a", "a", "--b", "b", "--m", "2",
+         "--fiber-cap", "0"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == "", argv
-        assert json.loads(err)["error"]["type"] == "usage"
+        error = json.loads(err)["error"]
+        assert error["type"] == "usage"
+        # a cap below one is refused under the flag's own name
+        if argv[-2].endswith("-cap"):
+            assert error["message"] == f"argument {argv[-2]}: must be >= 1, got 0"
 
 
 def test_help_exits_zero(capsys):
