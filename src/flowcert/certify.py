@@ -40,7 +40,7 @@ from .fibers import (
 )
 from .groups import Group, check_cap, group_from_json, group_to_json, json_fields, strict_int
 from .moves import Move
-from .sweep import Witness, _degree_verdicts, _multiset_key, _SubmultisetIndex
+from .sweep import Witness, _multiset_key, _SubmultisetIndex, _Sweep
 
 
 @dataclass(frozen=True)
@@ -219,16 +219,17 @@ def certify_degree(
     started = time.monotonic()
     per_degree: list[DegreeStats] = []
     witnesses: list[Witness] = []
-    for d, multisets, tally, found in _degree_verdicts(group, n, d_max, m, sweep_cap, find_all):
+    sweep = _Sweep(group, n, d_max, m, sweep_cap, find_all)
+    for d, multisets, found in sweep.degrees():
         witnesses.extend(found)
         per_degree.append(
             DegreeStats(
                 degree=d,
-                fiber_count=tally.decided + tally.covered,
+                fiber_count=sweep.decided + sweep.covered,
                 multiset_count=multisets,
-                disconnected_count=tally.disconnected,
-                decided_count=tally.decided,
-                covered_count=tally.covered,
+                disconnected_count=sweep.disconnected,
+                decided_count=sweep.decided,
+                covered_count=sweep.covered,
             )
         )
         if progress is not None:
@@ -328,7 +329,7 @@ def find_indispensable(
     n, d_max, m, sweep_cap = _check_sweep(n, d_max, m, sweep_cap)
     # no verdict of a degree <= m is drawn, so neither its reps nor its orbit
     # tables are built, nor any of its keys but those that later degrees read
-    for d, _, _, found in _degree_verdicts(group, n, d_max, m, sweep_cap, False):
+    for d, _, found in _Sweep(group, n, d_max, m, sweep_cap, False).degrees():
         if d > m and (witness := next(found, None)) is not None:
             return witness
     return None
@@ -382,7 +383,11 @@ def report_to_json(report: CertificationReport, *, include_elapsed: bool = True)
 
 def report_from_json(data: dict) -> CertificationReport:
     def integer(obj: dict, key: str) -> int:
-        return strict_int(obj[key], ShapeError, f"report field {key!r}")
+        # every key but the optional 'elapsed_ms' is known to be present
+        value = strict_int(obj.get(key, 0), ShapeError, f"report field {key!r}")
+        if value < 0:
+            raise ShapeError(f"report field {key!r} must be >= 0, got {value}")
+        return value
 
     keys = [f.name for f in fields(DegreeStats) if f.compare]
 
@@ -398,6 +403,13 @@ def report_from_json(data: dict) -> CertificationReport:
             "per_degree": list, "witnesses": list, "verdict": str, "statement": str,
         },
     )
+    verdict, count = data["verdict"], len(data["witnesses"])
+    if verdict not in ("verified", "not-verified"):
+        raise ShapeError(
+            f"report field 'verdict' must be verified or not-verified, got {verdict!r}"
+        )
+    if (verdict == "not-verified") != bool(count):
+        raise ShapeError(f"report field 'witnesses' cannot hold {count} in a {verdict} report")
     group = group_from_json(data["group"])
     n = integer(data, "n")
     return CertificationReport(
@@ -407,9 +419,7 @@ def report_from_json(data: dict) -> CertificationReport:
         m=integer(data, "m"),
         per_degree=tuple(stats(s) for s in data["per_degree"]),
         witnesses=tuple(witness_from_json(group, n, w) for w in data["witnesses"]),
-        verdict=data["verdict"],
+        verdict=verdict,
         statement=data["statement"],
-        elapsed_ms=strict_int(
-            data.get("elapsed_ms", 0), ShapeError, "report field 'elapsed_ms'"
-        ),
+        elapsed_ms=integer(data, "elapsed_ms"),
     )

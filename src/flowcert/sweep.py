@@ -101,25 +101,6 @@ class _SubmultisetIndex:
             yield comp
 
 
-def _key_witness(
-    group: Group, n: int, d: int, key: int, base: int, m: int, sweep_cap: int
-) -> Optional[Witness]:
-    """The witness of the fiber ``key``, or None if it is connected.
-
-    The sweep made the key, so the signature is not checked again, and
-    :func:`_enumerate_members` builds the members in ascending key order.
-    The first two components decide connectivity, and their roots are the
-    lowest member of each of the two lowest components, as
-    :func:`flowcert.certify.fiber_connected_under` would order them.
-    """
-    sig = key_signature(key, n, group.order, base)
-    fiber = _enumerate_members(sig, group, n, d, sweep_cap)
-    comps = _SubmultisetIndex(fiber, m).components()
-    next(comps)
-    second = next(comps, None)
-    return None if second is None else Witness(d, sig, fiber[0], fiber[second[0]])
-
-
 class _KeySet:
     """K[d], the keys of one degree d, as shards built on demand.
 
@@ -131,25 +112,19 @@ class _KeySet:
     b - f lies in shard H - (class of f) of K[d - 1], so shard H is every
     flow of class h added to shard H - h of K[d - 1], over all classes h.
 
-    ``classes`` maps each class to its flows as (key, bit) pairs.  A built
-    shard of K[d] is kept to the end of the sweep for d <= d_max - 2; for
-    d = d_max - 1 until the last rep of K[d_max] that reads it is built,
-    as :meth:`_ShardOrbits.readers` counts them when it is built; and for
-    d = d_max not at all.  K[0] is the one key 0, whose mask is empty.
+    ``sweep.classes`` maps each class to its flows as (key, bit) pairs.  A
+    built shard of K[d] is kept to the end of the sweep for d <= d_max - 2;
+    for d = d_max - 1 until the last rep of K[d_max] that reads it is
+    built, as :meth:`_ShardOrbits.readers` counts them when it is built;
+    and for d = d_max not at all.  K[0] is the one key 0, its mask empty.
     """
 
-    def __init__(
-        self,
-        below: Optional[_KeySet],
-        classes: dict[int, list[tuple[int, int]]],
-        shards: _ShardOrbits,
-        d_max: int,
-    ):
-        self.below, self.classes, self.shards = below, classes, shards
+    def __init__(self, sweep: _Sweep, below: Optional[_KeySet]):
+        self.sweep, self.below = sweep, below
         self.degree = 0 if below is None else below.degree + 1
         # a built shard is kept to the end of the sweep (> 0), until its
         # last reader is built (0), or not at all (< 0)
-        self.keep = d_max - 1 - self.degree
+        self.keep = sweep.d_max - 1 - self.degree
         self.kept: dict[int, dict[int, int]] = {0: {0: 0}} if below is None else {}
         # per kept shard of K[d_max - 1], its readers not built yet
         self.readers: dict[int, int] = {}
@@ -158,14 +133,14 @@ class _KeySet:
     def sources(self, shard_id: int) -> dict[int, dict[int, int]]:
         """The shards of K[d - 1] that shard ``shard_id`` reads, by class."""
         below = self.below
-        return {shard_id - s: below.shard(s) for s in self.shards.sources(shard_id)}
+        return {shard_id - s: below.shard(s) for s in self.sweep.shards.sources(shard_id)}
 
     def build(self, shard_id: int, sources: dict[int, dict[int, int]]) -> dict[int, int]:
         """Shard ``shard_id``, built from its :meth:`sources` and kept nowhere."""
         masks: dict[int, int] = {}
-        get = masks.get
+        get, classes = masks.get, self.sweep.classes
         for h, keys in sources.items():
-            for c, bit in self.classes[h]:
+            for c, bit in classes[h]:
                 for k in keys:
                     key = k + c
                     masks[key] = get(key, 0) | bit
@@ -179,7 +154,7 @@ class _KeySet:
             masks = self.build(shard_id, sources)
             if self.keep > 0:
                 self.kept[shard_id] = masks
-            elif self.keep == 0 and (readers := self.shards.readers(shard_id)):
+            elif self.keep == 0 and (readers := self.sweep.shards.readers(shard_id)):
                 self.kept[shard_id], self.readers[shard_id] = masks, readers
             for h in sources:
                 self.below.release(shard_id - h)
@@ -212,8 +187,8 @@ class _ShardOrbits:
     unit values that find the shift orbits: a row's count at code v moves
     to table[v][t] for its shift t.  Each is a bijection of the flows, so
     it maps K[d] onto K[d] and S(b) onto S(g b), and keeps every verdict.
-    It moves the shard rows among themselves, so it maps shards onto
-    shards.  The rep of an orbit is its least id.  The sweep builds the reps of every
+    It moves the shard rows among themselves, so it maps shards onto shards.
+    The rep of an orbit is its least id.  The sweep builds the reps of every
     degree it walks, and the shards one degree down that the shards it
     builds read.  :meth:`reps` builds a degree's reps and shift-orbit
     tables when the walk first reads it: ``certify_degree(Z7, 3, 7, 2)``
@@ -416,29 +391,18 @@ class _ShardOrbits:
         return [head * self.scale + self.join(rows) for rows in sorted(orders)]
 
 
-@dataclass
-class _Tally:
-    """How the fibers of one degree were decided, counted as its verdicts
-    are drawn: by the sweep itself (the canonical keys of the rep shards),
-    or as images of those; and how many of them are disconnected."""
-
-    decided: int = 0
-    covered: int = 0
-    disconnected: int = 0
-
-
-def _degree_verdicts(
-    group: Group, n: int, d_max: int, m: int, sweep_cap: int, find_all: bool
-) -> Iterator[tuple[int, int, _Tally, Iterator[Witness]]]:
-    """For each degree d in [2, d_max], ``(d, multiset count, tally,
-    witnesses)``, where the witnesses are a generator of :class:`Witness`
-    objects, each built from its key when drawn: the least disconnected
-    key's alone, or with ``find_all`` one per disconnected fiber, in
-    ascending key order.  They are drawn in full before the next degree
-    is asked for, or not at all, as a caller that needs no verdict of a
-    degree <= m does; a degree whose verdicts are not drawn has no reps or
-    orbit tables built.  Once drawn, the tally counts the fibers of the
-    degree and the disconnected ones.
+class _Sweep:
+    """The sweep of one claw.  :meth:`degrees` yields, for each degree d in
+    [2, d_max], ``(d, multiset count, witnesses)``, where the witnesses are
+    a generator of :class:`Witness` objects, each built from its key when
+    drawn: the least disconnected key's alone, or with ``find_all`` one per
+    disconnected fiber, in ascending key order.  They are drawn in full
+    before the next degree is asked for, or not at all, as a caller that
+    needs no verdict of a degree <= m does; a degree whose verdicts are not
+    drawn has no reps or orbit tables built.  Once they are drawn,
+    ``decided`` counts the fibers of the degree that the sweep decided
+    itself (the canonical keys of the rep shards), ``covered`` those it
+    took as images of these, and ``disconnected`` the disconnected ones.
 
     Arguments come from :func:`flowcert.certify._check_sweep`.  Each
     degree is sized against ``sweep_cap`` before any of it is built.
@@ -489,17 +453,44 @@ def _degree_verdicts(
     last fiber.  Without ``find_all`` the sweep ends with the first degree
     that has a disconnected fiber, which keeps no shard from its witness on.
     """
-    base = d_max + 1
 
-    def verdicts(keys: _KeySet, tally: _Tally) -> Iterator[Witness]:
-        found = walk(keys, tally)
-        if find_all:
+    def __init__(
+        self, group: Group, n: int, d_max: int, m: int, sweep_cap: int, find_all: bool
+    ):
+        self.group, self.n, self.d_max, self.m = group, n, d_max, m
+        self.sweep_cap, self.find_all, self.base = sweep_cap, find_all, d_max + 1
+
+    def degrees(self) -> Iterator[tuple[int, int, Iterator[Witness]]]:
+        for d in range(2, self.d_max + 1):
+            try:
+                total = sweep_size(self.group, self.n, d, self.sweep_cap)
+            except CapacityError as exc:
+                raise CapacityError(
+                    f"degree {d} of the sweep: {exc}", required=exc.required, cap=exc.cap
+                ) from exc
+            if d == 2:
+                self.codes = flow_keys(flows_on(self.group, self.n), self.base)
+                self.shards = _ShardOrbits(self.group, self.n, self.d_max)
+                self.class_of = [c // self.shards.scale for c in self.codes]
+                self.classes: dict[int, list[tuple[int, int]]] = {}
+                for i, c in enumerate(self.codes):
+                    self.classes.setdefault(self.class_of[i], []).append((c, 1 << i))
+                keys = _KeySet(self, _KeySet(self, None))
+            keys = _KeySet(self, keys)
+            self.decided = self.covered = self.disconnected = 0
+            yield d, total, self.verdicts(keys)
+            if self.disconnected and not self.find_all:
+                return
+
+    def verdicts(self, keys: _KeySet) -> Iterator[Witness]:
+        found = self.walk(keys)
+        if self.find_all:
             found = sorted(found)
             keys.disconnected = set(found)
         # a witness is built when it is drawn
         for key in found:
-            yield _key_witness(group, n, keys.degree, key, base, m, sweep_cap)
-            if not find_all:
+            yield self.witness(keys.degree, key)
+            if not self.find_all:
                 # no later degree reads K[d], and its rest is only counted
                 keys.keep = -1
                 keys.kept.clear()
@@ -508,46 +499,48 @@ def _degree_verdicts(
                     pass
                 return
 
-    def walk(keys: _KeySet, tally: _Tally) -> Iterator[int]:
+    def walk(self, keys: _KeySet) -> Iterator[int]:
         # the reps in key order: each rep's disconnected keys, then, with
         # find_all, their images in the other shards of its orbit
+        shards = self.shards
         canonical = shards.canonical(keys.degree)
         for rep in shards.reps(keys.degree):
             bad = []
             # one generator per rep: its frame, which holds the shard and
             # its sources, is gone before the next shard is built
-            for b in decide(keys, rep, canonical, tally):
+            for b in self.decide(keys, rep, canonical):
                 bad.append(b)
                 yield b
             if not bad:
                 continue
             # each shard of the orbit holds the images of the rep's keys
-            tally.disconnected += len(bad) * shards.size(rep)
-            if find_all:
+            self.disconnected += len(bad) * shards.size(rep)
+            if self.find_all:
                 for shard_id, element in shards.carriers(rep).items():
                     if shard_id != rep:
                         for b in bad:
                             yield shards.image(element, b)
 
     def decide(
-        keys: _KeySet, shard_id: int, canonical: Callable[[int], bool], tally: _Tally
+        self, keys: _KeySet, shard_id: int, canonical: Callable[[int], bool]
     ) -> Iterator[int]:
+        d, shards, codes = keys.degree, self.shards, self.codes
         sources = keys.sources(shard_id)
         masks = keys.shard(shard_id, sources)
         # only the least key of each tail-row orbit is decided
         ours = list(filter(canonical, masks))
-        tally.decided += len(ours)
-        tally.covered += len(masks) * shards.size(shard_id) - len(ours)
-        if keys.degree <= m:
+        self.decided += len(ours)
+        self.covered += len(masks) * shards.size(shard_id) - len(ours)
+        if d <= self.m:
             return
         # flow i's neighbours in fiber b are the mask of b - codes[i]
-        below = [sources.get(h) for h in class_of]
+        below = [sources.get(h) for h in self.class_of]
         lower = keys.below.disconnected
         for b in sorted(ours):
             full = masks[b]
             if lower and any(full >> i & 1 and b - c in lower for i, c in enumerate(codes)):
                 # a fiber b - f is disconnected, so b's members decide it
-                if _key_witness(group, n, keys.degree, b, base, m, sweep_cap) is None:
+                if self.witness(d, b) is None:
                     continue
             else:
                 # every fiber b - f is connected, so b's flows decide it
@@ -564,23 +557,18 @@ def _degree_verdicts(
             # b and the rest of its tail-row orbit
             yield from shards.arrangements(b)
 
-    for d in range(2, d_max + 1):
-        try:
-            total = sweep_size(group, n, d, sweep_cap)
-        except CapacityError as exc:
-            raise CapacityError(
-                f"degree {d} of the sweep: {exc}", required=exc.required, cap=exc.cap
-            ) from exc
-        if d == 2:
-            codes = flow_keys(flows_on(group, n), base)
-            shards = _ShardOrbits(group, n, d_max)
-            class_of = [c // shards.scale for c in codes]
-            classes: dict[int, list[tuple[int, int]]] = {}
-            for i, c in enumerate(codes):
-                classes.setdefault(class_of[i], []).append((c, 1 << i))
-            keys = _KeySet(_KeySet(None, classes, shards, d_max), classes, shards, d_max)
-        keys = _KeySet(keys, classes, shards, d_max)
-        tally = _Tally()
-        yield d, total, tally, verdicts(keys, tally)
-        if tally.disconnected and not find_all:
-            return
+    def witness(self, d: int, key: int) -> Optional[Witness]:
+        """The witness of the degree-d fiber ``key``, or None if it is connected.
+
+        The sweep made the key, so the signature is not checked again, and
+        :func:`_enumerate_members` builds the members in ascending key order.
+        The first two components decide connectivity, and their roots are the
+        lowest member of each of the two lowest components, as
+        :func:`flowcert.certify.fiber_connected_under` would order them.
+        """
+        sig = key_signature(key, self.n, self.group.order, self.base)
+        fiber = _enumerate_members(sig, self.group, self.n, d, self.sweep_cap)
+        comps = _SubmultisetIndex(fiber, self.m).components()
+        next(comps)
+        second = next(comps, None)
+        return None if second is None else Witness(d, sig, fiber[0], fiber[second[0]])

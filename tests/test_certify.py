@@ -23,7 +23,7 @@ from flowcert.errors import (
     ShapeError,
 )
 from flowcert.fibers import DEFAULT_SWEEP_CAP, flow_keys
-from flowcert.sweep import _key_witness, _SubmultisetIndex
+from flowcert.sweep import _SubmultisetIndex, _Sweep
 from oracles import edge_components, reference_move_path
 
 Z2 = fc.make_group([2])
@@ -186,12 +186,13 @@ def test_certify_parameter_validation():
 
 def test_certify_checks_fibers_in_the_calling_thread(monkeypatch):
     callers = set()
+    original = _Sweep.witness
 
-    def recording(*args):
+    def recording(self, d, key):
         callers.add(threading.get_ident())
-        return _key_witness(*args)
+        return original(self, d, key)
 
-    monkeypatch.setattr(sweep_module, "_key_witness", recording)
+    monkeypatch.setattr(_Sweep, "witness", recording)
     fc.certify_degree(Z3, 3, 4, 2, find_all=True, threads=4)
     assert callers == {threading.get_ident()}
 
@@ -207,12 +208,13 @@ def test_certify_checks_fibers_in_the_calling_thread(monkeypatch):
 )
 def test_a_search_without_find_all_builds_one_witness(monkeypatch, run, disconnected):
     calls = []
+    original = _Sweep.witness
 
-    def counting(*args):
-        calls.append(args)
-        return _key_witness(*args)
+    def counting(self, d, key):
+        calls.append((d, key))
+        return original(self, d, key)
 
-    monkeypatch.setattr(sweep_module, "_key_witness", counting)
+    monkeypatch.setattr(_Sweep, "witness", counting)
     result = run()
     # the first witness alone is built; the other disconnected fibers are
     # only counted
@@ -237,17 +239,18 @@ def test_a_find_all_sweep_builds_members_per_key_past_the_failure_and_per_witnes
     monkeypatch, group, n, d_max, m, calls, decisions
 ):
     built = []
+    original = _Sweep.witness
 
-    def counting(*args):
-        built.append(args)
-        return _key_witness(*args)
+    def counting(self, d, key):
+        built.append((d, key))
+        return original(self, d, key)
 
-    monkeypatch.setattr(sweep_module, "_key_witness", counting)
+    monkeypatch.setattr(_Sweep, "witness", counting)
     report = fc.certify_degree(group, n, d_max, m, find_all=True)
     base = d_max + 1
     codes = flow_keys(fc.enumerate_flows(group, n), base)
     bad = Counter((w.degree, sum(flow_keys(w.first.flows, base))) for w in report.witnesses)
-    keys = Counter((d, b) for _, _, d, b, *_ in built)
+    keys = Counter(built)
     # each witness is built once when it is drawn, and a key once more to
     # decide it only when some fiber one flow below it is disconnected
     decided = keys - bad
@@ -258,7 +261,7 @@ def test_a_find_all_sweep_builds_members_per_key_past_the_failure_and_per_witnes
 
 def test_a_sweep_without_find_all_ends_after_its_first_disconnected_degree():
     degrees = []
-    for d, _, _, found in sweep_module._degree_verdicts(Z3, 3, 5, 2, DEFAULT_SWEEP_CAP, False):
+    for d, _, found in _Sweep(Z3, 3, 5, 2, DEFAULT_SWEEP_CAP, False).degrees():
         degrees.append(d)
         list(found)
     assert degrees == [2, 3]
@@ -424,13 +427,14 @@ def test_key_witness_is_the_lowest_pair_of_two_components():
     fiber = fc.enumerate_fiber(sig, Z3, 3)
     key = sum(flow_keys(fiber[0].flows, 4))
     assert len(fiber) == 3
-    got = _key_witness(Z3, 3, 3, key, 4, 2, DEFAULT_SWEEP_CAP)
+    got = _Sweep(Z3, 3, 3, 2, DEFAULT_SWEEP_CAP, False).witness(3, key)
     assert got == fc.Witness(3, sig, fiber[0], fiber[1])
-    assert _key_witness(Z3, 3, 3, key, 4, 3, DEFAULT_SWEEP_CAP) is None
+    assert _Sweep(Z3, 3, 3, 3, DEFAULT_SWEEP_CAP, False).witness(3, key) is None
     member = fc.make_multiset([fc.make_flow(Z3, [0, 1, 2])])
     single = fc.signature(member)
     assert fc.enumerate_fiber(single, Z3, 3) == [member]
-    assert _key_witness(Z3, 3, 1, sum(flow_keys(member.flows, 4)), 4, 2, DEFAULT_SWEEP_CAP) is None
+    sweep = _Sweep(Z3, 3, 3, 2, DEFAULT_SWEEP_CAP, False)
+    assert sweep.witness(1, sum(flow_keys(member.flows, 4))) is None
 
 
 @pytest.mark.parametrize(
@@ -443,13 +447,13 @@ def test_key_witness_is_the_lowest_pair_of_two_components():
 )
 def test_key_witness_matches_components(group, n, d_max, m):
     # the sweep's check of one key against the components of its fiber
-    base = d_max + 1
+    base, sweep = d_max + 1, _Sweep(group, n, d_max, m, DEFAULT_SWEEP_CAP, False)
     for d in range(2, d_max + 1):
         for sig, fiber in fc.enumerate_all_fibers(group, n, d):
             comps = fc.fiber_connected_under(fiber, m).components
             expected = None if len(comps) == 1 else fc.Witness(d, sig, comps[0][0], comps[1][0])
             key = sum(flow_keys(fiber[0].flows, base))
-            assert _key_witness(group, n, d, key, base, m, DEFAULT_SWEEP_CAP) == expected
+            assert sweep.witness(d, key) == expected
 
 
 def test_fiber_connected_under_ignores_member_order():
@@ -655,6 +659,14 @@ def test_report_from_json_names_missing_keys_and_wrong_types():
         (dict(data, per_degree=[[2, 45, 45, 0]]), "per_degree entry must be a JSON"),
         (dict(data, per_degree=[{"degree": 2}]), "entry has no 'fiber_count' key"),
         (dict(data, witnesses=[None]), "witness must be a JSON object"),
+        (dict(data, verdict="maybe"), "'verdict' must be verified or not-verified, got 'maybe'"),
+        (dict(data, verdict="verified"), "'witnesses' cannot hold 1 in a verified report"),
+        (dict(data, witnesses=[]), "'witnesses' cannot hold 0 in a not-verified report"),
+        (
+            dict(data, per_degree=[dict(data["per_degree"][0], multiset_count=-3)]),
+            "'multiset_count' must be >= 0, got -3",
+        ),
+        (dict(data, elapsed_ms=-1), "'elapsed_ms' must be >= 0, got -1"),
     ]
     for bad, message in cases:
         with pytest.raises(ShapeError, match=message):
