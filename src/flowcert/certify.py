@@ -393,7 +393,11 @@ def report_from_json(data: dict) -> CertificationReport:
 
     def stats(entry: dict) -> DegreeStats:
         json_fields(entry, "per_degree entry", dict.fromkeys(keys, object))
-        return DegreeStats(**{key: integer(entry, key) for key in keys})
+        values = {key: integer(entry, key) for key in keys}
+        for low, high in ("disconnected_count", "fiber_count"), ("fiber_count", "multiset_count"):
+            if values[low] > values[high]:
+                raise ShapeError(f"report field {low!r} must be <= {high}, got {values[low]}")
+        return DegreeStats(**values)
 
     json_fields(
         data,
@@ -411,14 +415,20 @@ def report_from_json(data: dict) -> CertificationReport:
     if (verdict == "not-verified") != bool(count):
         raise ShapeError(f"report field 'witnesses' cannot hold {count} in a {verdict} report")
     group = group_from_json(data["group"])
-    n = integer(data, "n")
+    n, d_max, m = (integer(data, key) for key in ("n", "d_max", "m"))
+    per_degree = tuple(stats(s) for s in data["per_degree"])
+    witnesses = tuple(witness_from_json(group, n, w) for w in data["witnesses"])
+    if d_max < max([m] + [s.degree for s in per_degree]):
+        raise ShapeError(f"report field 'd_max' must be >= m and every degree, got {d_max}")
+    if {w.degree for w in witnesses} - {s.degree for s in per_degree if s.disconnected_count}:
+        raise ShapeError("report field 'witnesses' holds one of a degree with none disconnected")
     return CertificationReport(
         group=group,
         n=n,
-        d_max=integer(data, "d_max"),
-        m=integer(data, "m"),
-        per_degree=tuple(stats(s) for s in data["per_degree"]),
-        witnesses=tuple(witness_from_json(group, n, w) for w in data["witnesses"]),
+        d_max=d_max,
+        m=m,
+        per_degree=per_degree,
+        witnesses=witnesses,
         verdict=verdict,
         statement=data["statement"],
         elapsed_ms=integer(data, "elapsed_ms"),

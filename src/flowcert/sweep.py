@@ -101,75 +101,6 @@ class _SubmultisetIndex:
             yield comp
 
 
-class _KeySet:
-    """K[d], the keys of one degree d, as shards built on demand.
-
-    A key's shard id is the digits of its shard rows, ``key // scale``.
-    Those are its most significant digits, so the shards, each sorted and
-    taken in ascending order of their ids, are sorted K[d].  A shard maps
-    each key b to its flow mask S(b), whose bit i is set when b minus the
-    key of flow i is in K[d - 1].  A flow's class is its own shard id, and
-    b - f lies in shard H - (class of f) of K[d - 1], so shard H is every
-    flow of class h added to shard H - h of K[d - 1], over all classes h.
-
-    ``sweep.classes`` maps each class to its flows as (key, bit) pairs.  A
-    built shard of K[d] is kept to the end of the sweep for d <= d_max - 2;
-    for d = d_max - 1 until the last rep of K[d_max] that reads it is
-    built, as :meth:`_ShardOrbits.readers` counts them when it is built;
-    and for d = d_max not at all.  K[0] is the one key 0, its mask empty.
-    """
-
-    def __init__(self, sweep: _Sweep, below: Optional[_KeySet]):
-        self.sweep, self.below = sweep, below
-        self.degree = 0 if below is None else below.degree + 1
-        # a built shard is kept to the end of the sweep (> 0), until its
-        # last reader is built (0), or not at all (< 0)
-        self.keep = sweep.d_max - 1 - self.degree
-        self.kept: dict[int, dict[int, int]] = {0: {0: 0}} if below is None else {}
-        # per kept shard of K[d_max - 1], its readers not built yet
-        self.readers: dict[int, int] = {}
-        self.disconnected: set[int] = set()  # with find_all, once its verdicts are drawn
-
-    def sources(self, shard_id: int) -> dict[int, dict[int, int]]:
-        """The shards of K[d - 1] that shard ``shard_id`` reads, by class."""
-        below = self.below
-        return {shard_id - s: below.shard(s) for s in self.sweep.shards.sources(shard_id)}
-
-    def build(self, shard_id: int, sources: dict[int, dict[int, int]]) -> dict[int, int]:
-        """Shard ``shard_id``, built from its :meth:`sources` and kept nowhere."""
-        masks: dict[int, int] = {}
-        get, classes = masks.get, self.sweep.classes
-        for h, keys in sources.items():
-            for c, bit in classes[h]:
-                for k in keys:
-                    key = k + c
-                    masks[key] = get(key, 0) | bit
-        return masks
-
-    def shard(self, shard_id: int, sources: Optional[dict] = None) -> dict[int, int]:
-        """Shard ``shard_id``; a caller that holds its sources hands them over."""
-        masks = self.kept.get(shard_id)
-        if masks is None:
-            sources = sources or self.sources(shard_id)
-            masks = self.build(shard_id, sources)
-            if self.keep > 0:
-                self.kept[shard_id] = masks
-            elif self.keep == 0 and (readers := self.sweep.shards.readers(shard_id)):
-                self.kept[shard_id], self.readers[shard_id] = masks, readers
-            for h in sources:
-                self.below.release(shard_id - h)
-        return masks
-
-    def release(self, shard_id: int) -> None:
-        """Count one reader of shard ``shard_id`` as built; after the last,
-        free the shard."""
-        left = self.readers.pop(shard_id, 0)
-        if left > 1:
-            self.readers[shard_id] = left - 1
-        elif left:
-            del self.kept[shard_id]
-
-
 class _ShardOrbits:
     """The shard ids of each K[d] up to d_max, their orbits under the flow
     symmetries that map shards onto shards, and the shards the sweep builds.
@@ -316,8 +247,7 @@ class _ShardOrbits:
 
     def readers(self, shard_id: int) -> int:
         """How many reps of K[d_max] read shard ``shard_id`` of K[d_max - 1],
-        in q^s lookups: those whose shard rows are its rows plus one unit
-        each.  It is kept until they are built, a lower one to the end."""
+        in q^s lookups: those whose shard rows are its rows plus one unit each."""
         ids = [shard_id]
         for place in self.places:
             ids = [h + place * u for h in ids for u in self.units]
@@ -422,7 +352,7 @@ class _Sweep:
     :func:`_enumerate_members` and their components decide it; they are
     built again if its witness is drawn.
 
-    Each K[d] is a :class:`_KeySet`.  The symmetries of
+    The sweep holds each K[d] as key shards.  The symmetries of
     :class:`_ShardOrbits` map shards onto shards and keep every verdict,
     so only the rep of each orbit, its least shard, is built and decided,
     and the sweep walks the reps alone, in key order.  The other shards of
@@ -444,14 +374,13 @@ class _Sweep:
     key is followed by the other keys of its orbit in ascending order, and
     they are carried to the rest of the rep's orbit with it.  The least
     disconnected key of a shard is canonical, so the first witness is the
-    one a search of every key finds.  Shards are built as the verdicts ask
-    for them, or as a shard of K[d + 1] reads them, so a caller that skips
-    the verdicts of a degree <= m builds only the shards that the verdicts
-    it does consume read.  Shards below K[d_max - 1] are kept to the end,
-    one of K[d_max - 1] until the last rep of K[d_max] that reads it is
-    built, none of K[d_max]; deciding a shard holds its sources until its
-    last fiber.  Without ``find_all`` the sweep ends with the first degree
-    that has a disconnected fiber, which keeps no shard from its witness on.
+    one a search of every key finds.  Shards are built (:meth:`build`) as
+    the verdicts ask for them, or as a shard of K[d + 1] reads them, so a
+    caller that skips the verdicts of a degree <= m builds only the shards
+    that the verdicts it does consume read.  Deciding a shard holds its
+    sources until its last fiber; :meth:`shard` says how long each shard
+    is kept.  Without ``find_all`` the sweep ends with the first degree
+    that has a disconnected fiber.
     """
 
     def __init__(
@@ -475,40 +404,98 @@ class _Sweep:
                 self.classes: dict[int, list[tuple[int, int]]] = {}
                 for i, c in enumerate(self.codes):
                     self.classes.setdefault(self.class_of[i], []).append((c, 1 << i))
-                keys = _KeySet(self, _KeySet(self, None))
-            keys = _KeySet(self, keys)
+                # kept shards by degree and id; K[0] is the one key 0, its mask empty
+                self.kept = {e: {} if e else {0: {0: 0}} for e in range(self.d_max)}
+                # per kept shard of K[d_max - 1], its readers not built yet
+                self.readers: dict[int, int] = {}
+                # with find_all, the disconnected keys of the degree below
+                self.lower: set[int] = set()
             self.decided = self.covered = self.disconnected = 0
-            yield d, total, self.verdicts(keys)
+            yield d, total, self.verdicts(d)
             if self.disconnected and not self.find_all:
                 return
 
-    def verdicts(self, keys: _KeySet) -> Iterator[Witness]:
-        found = self.walk(keys)
+    def sources(self, d: int, shard_id: int) -> dict[int, dict[int, int]]:
+        """The shards of K[d - 1] that shard ``shard_id`` of K[d] reads, by class."""
+        return {shard_id - s: self.shard(d - 1, s) for s in self.shards.sources(shard_id)}
+
+    def build(self, d: int, shard_id: int, sources: dict[int, dict[int, int]]) -> dict[int, int]:
+        """Shard ``shard_id`` of K[d], built from its :meth:`sources` and kept nowhere.
+
+        A key's shard id, ``key // scale``, is the digits of its shard rows,
+        its most significant digits, so the shards, each sorted and taken in
+        ascending order of their ids, are sorted K[d].  A shard maps each key
+        b to its flow mask S(b), whose bit i is set when b minus the key of
+        flow i is in K[d - 1].  A flow's class is its own shard id, so shard
+        H is every flow of class h added to shard H - h of K[d - 1], over all
+        classes h; :attr:`classes` maps each class to its (key, bit) pairs.
+        """
+        masks: dict[int, int] = {}
+        get, classes = masks.get, self.classes
+        for h, keys in sources.items():
+            for c, bit in classes[h]:
+                for k in keys:
+                    key = k + c
+                    masks[key] = get(key, 0) | bit
+        return masks
+
+    def shard(self, d: int, shard_id: int, sources: Optional[dict] = None) -> dict[int, int]:
+        """Shard ``shard_id`` of K[d]; a caller that holds its sources hands them over.
+
+        A built shard is kept in :attr:`kept` to the end of the sweep for
+        d <= d_max - 2; for d = d_max - 1 until the last rep of K[d_max] that
+        reads it is built, as :meth:`_ShardOrbits.readers` counts them when
+        it is built; and not at all for a degree that :attr:`kept` does not
+        hold: d_max, and without ``find_all`` a degree with a disconnected
+        fiber from its first witness on, which :meth:`verdicts` drops.
+        """
+        kept = self.kept.get(d, {})
+        masks = kept.get(shard_id)
+        if masks is None:
+            sources = sources or self.sources(d, shard_id)
+            masks = self.build(d, shard_id, sources)
+            if d < self.d_max - 1:
+                kept[shard_id] = masks
+            elif d == self.d_max:
+                for h in sources:
+                    self.release(shard_id - h)
+            elif d in self.kept and (readers := self.shards.readers(shard_id)):
+                kept[shard_id], self.readers[shard_id] = masks, readers
+        return masks
+
+    def release(self, shard_id: int) -> None:
+        """Count a reader of K[d_max - 1]'s shard ``shard_id`` as built; free it after the last."""
+        left = self.readers.pop(shard_id, 0)
+        if left > 1:
+            self.readers[shard_id] = left - 1
+        elif left:
+            del self.kept[self.d_max - 1][shard_id]
+
+    def verdicts(self, d: int) -> Iterator[Witness]:
+        found = self.walk(d)
         if self.find_all:
             found = sorted(found)
-            keys.disconnected = set(found)
+            self.lower = set(found)
         # a witness is built when it is drawn
         for key in found:
-            yield self.witness(keys.degree, key)
+            yield self.witness(d, key)
             if not self.find_all:
                 # no later degree reads K[d], and its rest is only counted
-                keys.keep = -1
-                keys.kept.clear()
-                keys.readers.clear()
+                self.kept.pop(d, None)
                 for _ in found:
                     pass
                 return
 
-    def walk(self, keys: _KeySet) -> Iterator[int]:
+    def walk(self, d: int) -> Iterator[int]:
         # the reps in key order: each rep's disconnected keys, then, with
         # find_all, their images in the other shards of its orbit
         shards = self.shards
-        canonical = shards.canonical(keys.degree)
-        for rep in shards.reps(keys.degree):
+        canonical = shards.canonical(d)
+        for rep in shards.reps(d):
             bad = []
             # one generator per rep: its frame, which holds the shard and
             # its sources, is gone before the next shard is built
-            for b in self.decide(keys, rep, canonical):
+            for b in self.decide(d, rep, canonical):
                 bad.append(b)
                 yield b
             if not bad:
@@ -521,12 +508,10 @@ class _Sweep:
                         for b in bad:
                             yield shards.image(element, b)
 
-    def decide(
-        self, keys: _KeySet, shard_id: int, canonical: Callable[[int], bool]
-    ) -> Iterator[int]:
-        d, shards, codes = keys.degree, self.shards, self.codes
-        sources = keys.sources(shard_id)
-        masks = keys.shard(shard_id, sources)
+    def decide(self, d: int, shard_id: int, canonical: Callable[[int], bool]) -> Iterator[int]:
+        shards, codes = self.shards, self.codes
+        sources = self.sources(d, shard_id)
+        masks = self.shard(d, shard_id, sources)
         # only the least key of each tail-row orbit is decided
         ours = list(filter(canonical, masks))
         self.decided += len(ours)
@@ -535,7 +520,7 @@ class _Sweep:
             return
         # flow i's neighbours in fiber b are the mask of b - codes[i]
         below = [sources.get(h) for h in self.class_of]
-        lower = keys.below.disconnected
+        lower = self.lower
         for b in sorted(ours):
             full = masks[b]
             if lower and any(full >> i & 1 and b - c in lower for i, c in enumerate(codes)):

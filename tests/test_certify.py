@@ -648,6 +648,7 @@ def test_witness_from_json_names_missing_keys_and_wrong_types(data, message):
 def test_report_from_json_names_missing_keys_and_wrong_types():
     data = fc.report_to_json(fc.certify_degree(Z3, 3, 3, 2))
     assert fc.report_from_json(data) == fc.certify_degree(Z3, 3, 3, 2)
+    two, three = data["per_degree"]
     cases = [
         ({"group": {"factors": [3]}}, "report has no 'n' key"),
         ([], "report must be a JSON object, got list"),
@@ -667,6 +668,17 @@ def test_report_from_json_names_missing_keys_and_wrong_types():
             "'multiset_count' must be >= 0, got -3",
         ),
         (dict(data, elapsed_ms=-1), "'elapsed_ms' must be >= 0, got -1"),
+        (dict(data, d_max=1), "'d_max' must be >= m and every degree, got 1"),
+        (dict(data, d_max=2), "'d_max' must be >= m and every degree, got 2"),
+        (
+            dict(data, per_degree=[dict(two, disconnected_count=99), three]),
+            "'disconnected_count' must be <= fiber_count, got 99",
+        ),
+        (
+            dict(data, per_degree=[dict(two, fiber_count=10**6), three]),
+            "'fiber_count' must be <= multiset_count, got 1000000",
+        ),
+        (dict(data, per_degree=[]), "'witnesses' holds one of a degree with none disconnected"),
     ]
     for bad, message in cases:
         with pytest.raises(ShapeError, match=message):
@@ -972,23 +984,21 @@ def _recording_shards(monkeypatch):
     shard it built, in build order: the shard's id, the ids of the earlier
     shards of that degree still alive once it was built, and the ids of the
     shards one degree down that were alive then."""
-    original = sweep_module._KeySet.build
+    original = sweep_module._Sweep.build
     refs: dict[int, dict[int, weakref.ref]] = {}
     degrees = _Builds()
 
     def live(d):
         return {s for s, ref in refs.get(d, {}).items() if ref() is not None}
 
-    def recording(self, shard_id, sources):
-        shard = _Shard(original(self, shard_id, sources))
-        degrees.setdefault(self.degree, []).append(
-            (shard_id, live(self.degree), live(self.degree - 1))
-        )
-        degrees.log.append((self.degree, shard_id))
-        refs.setdefault(self.degree, {})[shard_id] = weakref.ref(shard)
+    def recording(self, d, shard_id, sources):
+        shard = _Shard(original(self, d, shard_id, sources))
+        degrees.setdefault(d, []).append((shard_id, live(d), live(d - 1)))
+        degrees.log.append((d, shard_id))
+        refs.setdefault(d, {})[shard_id] = weakref.ref(shard)
         return shard
 
-    monkeypatch.setattr(sweep_module._KeySet, "build", recording)
+    monkeypatch.setattr(sweep_module._Sweep, "build", recording)
     return degrees
 
 
@@ -1000,14 +1010,14 @@ def _recording_shards(monkeypatch):
 def test_shards_concatenate_to_the_sorted_key_set(monkeypatch, factors, n):
     group, d_max = fc.make_group(factors), 4
     built: dict[int, list[tuple[int, dict[int, int]]]] = {}
-    original = sweep_module._KeySet.build
+    original = sweep_module._Sweep.build
 
-    def recording(self, shard_id, sources):
-        masks = original(self, shard_id, sources)
-        built.setdefault(self.degree, []).append((shard_id, masks))
+    def recording(self, d, shard_id, sources):
+        masks = original(self, d, shard_id, sources)
+        built.setdefault(d, []).append((shard_id, masks))
         return masks
 
-    monkeypatch.setattr(sweep_module._KeySet, "build", recording)
+    monkeypatch.setattr(sweep_module._Sweep, "build", recording)
     report = fc.certify_degree(group, n, d_max, d_max)
     # the full build each degree replaced: every flow added to every key below
     codes, scale, _, ids = _key_classes(group, n, d_max)
