@@ -108,7 +108,7 @@ def fiber_edges(fiber: list[FlowMultiset], m: int) -> list[tuple[int, int]]:
     :func:`fiber_connected_under` and :func:`find_move_path` use.
     """
     check_fiber(fiber)
-    m = strict_int(m, PreconditionError, "move bound")
+    m = _check_move_bound(m, least=1)
     size = len(fiber)
     need = fiber[0].degree - m
     if need <= 0:
@@ -129,7 +129,7 @@ def fiber_edges_generative(fiber: list[FlowMultiset], m: int) -> list[tuple[int,
     :func:`fiber_edges`; quadratic in practice, test-scale only.
     """
     check_fiber(fiber)
-    m = strict_int(m, PreconditionError, "move bound")
+    m = _check_move_bound(m, least=1)
     group, n = fiber[0].group, fiber[0].n
     pos = {ms: i for i, ms in enumerate(fiber)}
     replacements: dict[tuple[int, ...], list[FlowMultiset]] = {}

@@ -124,7 +124,7 @@ class _ShardOrbits:
     builds read.  :meth:`reps` builds a degree's reps and shift-orbit
     tables when the walk first reads it: ``certify_degree(Z7, 3, 7, 2)``
     builds degrees 2 and 3 alone, in 2 ms, not 210 ms for 2 to 7.  A
-    shard's sources and readers are read off its id's digits; within a
+    shard's sources and last reader are read off its id's digits; within a
     shard, :meth:`canonical` and :meth:`arrangements` read the tail rows.
 
     A row of counts is handled as its value, its digits in base
@@ -155,6 +155,7 @@ class _ShardOrbits:
         self.spread: dict[int, int] = {}
         self.built: dict[int, list[int]] = {}
         self.last: Optional[set[int]] = None  # the reps of K[d_max], once read
+        self.last_of: dict[int, int] = {}  # per shard of K[d_max - 1], its last reader
         self.elements: Optional[list[tuple]] = None  # once a carrier is asked for
 
     def reps(self, d: int) -> list[int]:
@@ -245,16 +246,18 @@ class _ShardOrbits:
             count = count * (i + 1) // repeat * spread[row]
         return count
 
-    def readers(self, shard_id: int) -> int:
-        """How many reps of K[d_max] read shard ``shard_id`` of K[d_max - 1],
-        in q^s lookups: those whose shard rows are its rows plus one unit each."""
-        ids = [shard_id]
-        for place in self.places:
-            ids = [h + place * u for h in ids for u in self.units]
-        if self.last is None:
-            self.last = set(self.reps(self.base - 1))
-        last = self.last
-        return sum(h in last for h in ids)
+    def last_reader(self, shard_id: int) -> int:
+        """The greatest rep of K[d_max] that reads shard ``shard_id`` of
+        K[d_max - 1], a source of some rep, found on the first call in q^s
+        lookups: the reps whose shard rows are its rows plus one unit each."""
+        if shard_id not in self.last_of:
+            ids = [shard_id]
+            for place in self.places:
+                ids = [h + place * u for h in ids for u in self.units]
+            if self.last is None:
+                self.last = set(self.reps(self.base - 1))
+            self.last_of[shard_id] = max(filter(self.last.__contains__, ids))
+        return self.last_of[shard_id]
 
     def image(self, element, key: int) -> int:
         """The key ``key`` of n rows under ``element``."""
@@ -378,9 +381,11 @@ class _Sweep:
     the verdicts ask for them, or as a shard of K[d + 1] reads them, so a
     caller that skips the verdicts of a degree <= m builds only the shards
     that the verdicts it does consume read.  Deciding a shard holds its
-    sources until its last fiber; :meth:`shard` says how long each shard
-    is kept.  Without ``find_all`` the sweep ends with the first degree
-    that has a disconnected fiber.
+    sources until its last fiber; :meth:`shard` keeps a shard below
+    d_max - 1 to the end, and one of K[d_max - 1] until the last rep of
+    K[d_max] that reads it, found when degree d_max is walked, is built.
+    Without ``find_all`` the sweep ends with the first degree that has a
+    disconnected fiber.
     """
 
     def __init__(
@@ -406,8 +411,6 @@ class _Sweep:
                     self.classes.setdefault(self.class_of[i], []).append((c, 1 << i))
                 # kept shards by degree and id; K[0] is the one key 0, its mask empty
                 self.kept = {e: {} if e else {0: {0: 0}} for e in range(self.d_max)}
-                # per kept shard of K[d_max - 1], its readers not built yet
-                self.readers: dict[int, int] = {}
                 # with find_all, the disconnected keys of the degree below
                 self.lower: set[int] = set()
             self.decided = self.covered = self.disconnected = 0
@@ -442,34 +445,26 @@ class _Sweep:
     def shard(self, d: int, shard_id: int, sources: Optional[dict] = None) -> dict[int, int]:
         """Shard ``shard_id`` of K[d]; a caller that holds its sources hands them over.
 
-        A built shard is kept in :attr:`kept` to the end of the sweep for
-        d <= d_max - 2; for d = d_max - 1 until the last rep of K[d_max] that
-        reads it is built, as :meth:`_ShardOrbits.readers` counts them when
-        it is built; and not at all for a degree that :attr:`kept` does not
-        hold: d_max, and without ``find_all`` a degree with a disconnected
-        fiber from its first witness on, which :meth:`verdicts` drops.
+        A built shard of K[d] is kept in :attr:`kept` for d < d_max, except
+        for a degree that :attr:`kept` no longer holds: without ``find_all``,
+        a degree with a disconnected fiber from its first witness on, which
+        :meth:`verdicts` drops.  No shard of K[d_max] is kept, and building
+        a rep of K[d_max] frees each source whose last reader it is
+        (:meth:`_ShardOrbits.last_reader`), so a shard below d_max - 1 is
+        kept to the end of the sweep.
         """
         kept = self.kept.get(d, {})
         masks = kept.get(shard_id)
         if masks is None:
             sources = sources or self.sources(d, shard_id)
             masks = self.build(d, shard_id, sources)
-            if d < self.d_max - 1:
+            if d < self.d_max:
                 kept[shard_id] = masks
-            elif d == self.d_max:
+            else:
                 for h in sources:
-                    self.release(shard_id - h)
-            elif d in self.kept and (readers := self.shards.readers(shard_id)):
-                kept[shard_id], self.readers[shard_id] = masks, readers
+                    if self.shards.last_reader(shard_id - h) == shard_id:
+                        del self.kept[d - 1][shard_id - h]
         return masks
-
-    def release(self, shard_id: int) -> None:
-        """Count a reader of K[d_max - 1]'s shard ``shard_id`` as built; free it after the last."""
-        left = self.readers.pop(shard_id, 0)
-        if left > 1:
-            self.readers[shard_id] = left - 1
-        elif left:
-            del self.kept[self.d_max - 1][shard_id]
 
     def verdicts(self, d: int) -> Iterator[Witness]:
         found = self.walk(d)

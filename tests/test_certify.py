@@ -95,6 +95,12 @@ def test_fiber_connected_under_input_validation():
             check([a, a], 2)
     with pytest.raises(PreconditionError):
         fc.fiber_connected_under([a], 1)
+    # a move of degree 1 changes nothing, but a bound below 1 is refused
+    for check in (fc.fiber_edges, fc.fiber_edges_generative):
+        assert check([a], 1) == []
+        for m in (0, -1):
+            with pytest.raises(PreconditionError):
+                check([a], m)
 
 
 @pytest.mark.parametrize(
@@ -1359,12 +1365,18 @@ def test_the_sweep_reads_reps_only_while_it_builds_the_orbit_tables(monkeypatch)
         # draws no verdict of a degree <= m
         (lambda: fc.find_indispensable(fc.make_group([7]), 3, 2, d_max=7), [3]),
         (lambda: fc.find_indispensable(Z2xZ2, 4, 3), [4]),
-        # a verified sweep reads every degree; readers() asks for K[d_max]
-        # before the walk reaches it
+        # a verified sweep reads every degree, K[d_max] once its walk reaches it
         (lambda: fc.certify_degree(Z2, 5, 4, 2), [2, 3, 4]),
         (lambda: fc.certify_degree(Z3, 3, 4, 3), [2, 3, 4]),
+        # fail at degree d_max - 1, so K[d_max]'s tables are never built
+        (lambda: fc.certify_degree(fc.make_group([7]), 3, 7, 5), [2, 3, 4, 5, 6]),
+        (lambda: fc.find_indispensable(fc.make_group([7]), 3, 5, d_max=7), [6]),
+        (lambda: fc.certify_degree(Z2xZ2, 4, 5, 3), [2, 3, 4]),
     ],
-    ids=["z7-certify", "z7-witness", "z2x2-witness", "z2-verified", "z3-verified"],
+    ids=[
+        "z7-certify", "z7-witness", "z2x2-witness", "z2-verified", "z3-verified",
+        "z7-certify-below-d-max", "z7-witness-below-d-max", "z2x2-certify-below-d-max",
+    ],
 )
 def test_orbit_tables_are_built_only_for_the_degrees_the_sweep_reads(
     monkeypatch, call, degrees
@@ -1383,6 +1395,28 @@ def test_orbit_tables_are_built_only_for_the_degrees_the_sweep_reads(
     call()
     # each degree once, in the order the walk first reads it
     assert built == degrees
+
+
+@pytest.mark.parametrize(
+    "factors,n,d_max",
+    [([2], n, d) for n in range(1, 8) for d in (3, 4, 5)]
+    + [([3], n, d) for n in range(1, 6) for d in (3, 4, 5)]
+    + [([f], 3, d) for f in (4, 5, 7) for d in (3, 4, 5, 6)]
+    + [([2, 2], n, d) for n in range(1, 5) for d in (3, 4, 5)]
+    + [([2, 3], n, 4) for n in range(1, 4)] + [([3, 3], 2, 5), ([2, 2, 2], 3, 4)],
+)
+def test_every_rep_one_degree_below_d_max_has_a_last_reader(factors, n, d_max):
+    # the sweep keeps each built shard of K[d_max - 1] until its last reader
+    # is built, so a rep of K[d_max - 1] that no rep of K[d_max] read would
+    # be kept to the end of the sweep
+    shards = sweep_module._ShardOrbits(fc.make_group(factors), n, d_max)
+    readers: dict[int, list[int]] = {}
+    for rep in shards.reps(d_max):
+        for h in shards.sources(rep):
+            readers.setdefault(h, []).append(rep)
+    assert set(shards.reps(d_max - 1)) <= readers.keys()
+    for h, reps in readers.items():
+        assert shards.last_reader(h) == max(reps)
 
 
 def test_a_find_all_sweep_enumerates_the_flows_of_its_fibers_once(monkeypatch):
