@@ -23,6 +23,7 @@ from .errors import (
     InvalidFiberError,
     PreconditionError,
     ShapeError,
+    count_text,
 )
 from .fibers import (
     DEFAULT_FIBER_CAP,
@@ -33,6 +34,7 @@ from .fibers import (
     enumerate_all_fibers,  # unused here; bench/tracing.py wraps certify.enumerate_all_fibers
     enumerate_fiber,
     make_multiset,
+    multiset_count,
     multiset_from_rows,
     multiset_to_rows,
     signature,
@@ -422,6 +424,26 @@ def report_from_json(data: dict) -> CertificationReport:
         raise ShapeError(f"report field 'd_max' must be >= m and every degree, got {d_max}")
     if {w.degree for w in witnesses} - {s.degree for s in per_degree if s.disconnected_count}:
         raise ShapeError("report field 'witnesses' holds one of a degree with none disconnected")
+    # what every report of certify_degree holds
+    if [s.degree for s in per_degree] != list(range(2, 2 + len(per_degree))):
+        raise ShapeError("report field 'per_degree' must hold degrees 2, 3, ... in order")
+    held = Counter(w.degree for w in witnesses)
+    for s in per_degree:
+        if s.multiset_count != (total := multiset_count(group, n, s.degree)):
+            raise ShapeError(
+                f"report field 'multiset_count' of degree {s.degree} must be "
+                f"{count_text(total)}, got {count_text(s.multiset_count)}"
+            )
+        if held[s.degree] > s.disconnected_count:
+            raise ShapeError(
+                f"report field 'witnesses' holds {held[s.degree]} of degree {s.degree}, "
+                f"which has {s.disconnected_count} disconnected"
+            )
+    keys = [(w.degree, w.signature.flat()) for w in witnesses]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise ShapeError(
+            "report field 'witnesses' must be in strictly ascending (degree, signature) order"
+        )
     return CertificationReport(
         group=group,
         n=n,

@@ -52,6 +52,16 @@ class CapacityError(FlowcertError):
         self.cap = cap
 
 
+def count_text(count: int) -> str:
+    """``count`` in decimal for an error message, or the power of two it
+    reaches when it has more digits than the interpreter converts to a
+    string (4,300 by default)."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"at least 2**{count.bit_length() - 1}"
+
+
 class InvalidExchangeError(FlowcertError):
     """Pair exchange rejected; carries the two partial sums."""
 

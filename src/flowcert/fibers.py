@@ -21,6 +21,7 @@ from .errors import (
     FlowcertError,
     InvalidFiberError,
     ShapeError,
+    count_text,
 )
 from .flows import Flow, enumerate_flows, flow_count, make_flow
 from .groups import Group, check_cap, json_fields, strict_int
@@ -250,7 +251,8 @@ def sweep_size(group: Group, n: int, d: int, cap: int) -> int:
     cap = check_cap(cap)
     if total > cap:
         raise CapacityError(
-            f"sweep over {total} degree-{d} multisets exceeds the cap of {cap}",
+            f"sweep over {count_text(total)} degree-{d} multisets exceeds the cap of "
+            f"{count_text(cap)}",
             required=total,
             cap=cap,
         )

@@ -18,6 +18,7 @@ from .errors import (
     InvalidPermutationError,
     NotAFlowError,
     ShapeError,
+    count_text,
 )
 from .groups import Group, add_table, check_cap, check_element, neg_table, strict_int
 
@@ -85,7 +86,9 @@ def enumerate_flows(group: Group, n: int, *, cap: int = DEFAULT_FLOW_CAP) -> lis
     cap = check_cap(cap)
     if total > cap:
         raise CapacityError(
-            f"{total} flows exceed the cap of {cap}", required=total, cap=cap
+            f"{count_text(total)} flows exceed the cap of {count_text(cap)}",
+            required=total,
+            cap=cap,
         )
     tbl = add_table(group)
     ntbl = neg_table(group)

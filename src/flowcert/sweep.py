@@ -123,9 +123,9 @@ class _ShardOrbits:
     degree it walks, and the shards one degree down that the shards it
     builds read.  :meth:`reps` builds a degree's reps and shift-orbit
     tables when the walk first reads it: ``certify_degree(Z7, 3, 7, 2)``
-    builds degrees 2 and 3 alone, in 2 ms, not 210 ms for 2 to 7.  A
-    shard's sources and last reader are read off its id's digits; within a
-    shard, :meth:`canonical` and :meth:`arrangements` read the tail rows.
+    builds degrees 2 and 3 alone.  A shard's sources and last reader are
+    read off its id's digits; within a shard, :meth:`canonical` and
+    :meth:`arrangements` read the tail rows.
 
     A row of counts is handled as its value, its digits in base
     d_max + 1, column 0 most significant.  The shard rows of a key are any
@@ -356,15 +356,17 @@ class _Sweep:
     built again if its witness is drawn.
 
     The sweep holds each K[d] as key shards.  The symmetries of
-    :class:`_ShardOrbits` map shards onto shards and keep every verdict,
-    so only the rep of each orbit, its least shard, is built and decided,
-    and the sweep walks the reps alone, in key order.  The other shards of
-    an orbit hold as many fibers as the rep, and the orbit's size comes
-    from the row tables; each takes the rep's disconnected keys, carried
-    over by one element with ``find_all``, and only counted without it,
-    which builds no witness past the first.  The least disconnected key is
-    therefore a rep's, and met first; with ``find_all``, the keys of a
-    degree are sorted before their witnesses are handed out, and they are
+    :class:`_ShardOrbits` map shards onto shards and keep every verdict, so
+    only the rep of each orbit, its least shard, is built and decided, and
+    the sweep walks the reps alone, in key order.  The other shards of an
+    orbit hold as many fibers as the rep, and the orbit's size comes from
+    the row tables.  One generator per rep, :meth:`decide`, reads that size
+    once and keeps all of the rep's counts, each disconnected key once per
+    shard of the orbit; with ``find_all`` it then carries those keys to the
+    other shards, each shard's by one element.  Without it they are only
+    counted, which builds no witness past the first.  The least disconnected
+    key is therefore a rep's, and met first; with ``find_all``, the keys of
+    a degree are sorted before their witnesses are handed out, and they are
     the disconnected keys that the next degree reads.
 
     All leaves of the claw are alike, so any permutation of the rows is a
@@ -467,7 +469,9 @@ class _Sweep:
         return masks
 
     def verdicts(self, d: int) -> Iterator[Witness]:
-        found = self.walk(d)
+        # one generator per rep, in key order: its frame is gone before the next build
+        canonical = self.shards.canonical(d)
+        found = (b for rep in self.shards.reps(d) for b in self.decide(d, rep, canonical))
         if self.find_all:
             found = sorted(found)
             self.lower = set(found)
@@ -481,44 +485,24 @@ class _Sweep:
                     pass
                 return
 
-    def walk(self, d: int) -> Iterator[int]:
-        # the reps in key order: each rep's disconnected keys, then, with
-        # find_all, their images in the other shards of its orbit
-        shards = self.shards
-        canonical = shards.canonical(d)
-        for rep in shards.reps(d):
-            bad = []
-            # one generator per rep: its frame, which holds the shard and
-            # its sources, is gone before the next shard is built
-            for b in self.decide(d, rep, canonical):
-                bad.append(b)
-                yield b
-            if not bad:
-                continue
-            # each shard of the orbit holds the images of the rep's keys
-            self.disconnected += len(bad) * shards.size(rep)
-            if self.find_all:
-                for shard_id, element in shards.carriers(rep).items():
-                    if shard_id != rep:
-                        for b in bad:
-                            yield shards.image(element, b)
-
     def decide(self, d: int, shard_id: int, canonical: Callable[[int], bool]) -> Iterator[int]:
         shards, codes = self.shards, self.codes
         sources = self.sources(d, shard_id)
         masks = self.shard(d, shard_id, sources)
+        size = shards.size(shard_id)
         # only the least key of each tail-row orbit is decided
         ours = list(filter(canonical, masks))
         self.decided += len(ours)
-        self.covered += len(masks) * shards.size(shard_id) - len(ours)
+        self.covered += len(masks) * size - len(ours)
         if d <= self.m:
             return
         # flow i's neighbours in fiber b are the mask of b - codes[i]
         below = [sources.get(h) for h in self.class_of]
         lower = self.lower
+        bad = []
         for b in sorted(ours):
             full = masks[b]
-            if lower and any(full >> i & 1 and b - c in lower for i, c in enumerate(codes)):
+            if lower and any(b - c in lower for c in codes):
                 # a fiber b - f is disconnected, so b's members decide it
                 if self.witness(d, b) is None:
                     continue
@@ -534,8 +518,17 @@ class _Sweep:
                     todo |= grow
                 if reached == full:
                     continue
-            # b and the rest of its tail-row orbit
-            yield from shards.arrangements(b)
+            # b and the rest of its tail-row orbit, counted in each shard of the orbit
+            keys = shards.arrangements(b)
+            self.disconnected += len(keys) * size
+            bad += keys
+            yield from keys
+        if self.find_all and bad:
+            # each other shard of the orbit holds the images of the rep's keys
+            for image_id, element in shards.carriers(shard_id).items():
+                if image_id != shard_id:
+                    for b in bad:
+                        yield shards.image(element, b)
 
     def witness(self, d: int, key: int) -> Optional[Witness]:
         """The witness of the degree-d fiber ``key``, or None if it is connected.

@@ -686,6 +686,37 @@ def test_report_from_json_names_missing_keys_and_wrong_types():
         ),
         (dict(data, per_degree=[]), "'witnesses' holds one of a degree with none disconnected"),
     ]
+    # reports that pass the checks above but that certify_degree cannot give
+    full = fc.report_to_json(fc.certify_degree(Z3, 3, 4, 2, find_all=True))
+    assert fc.report_from_json(full) == fc.certify_degree(Z3, 3, 4, 2, find_all=True)
+    two, three, four = full["per_degree"]
+    three_found, four_found = full["witnesses"][:1], full["witnesses"][1:]
+    degrees = "'per_degree' must hold degrees 2, 3, ... in order"
+    cases += [
+        (dict(full, per_degree=[four, three, two]), degrees),
+        (dict(full, per_degree=[two, three, four, four]), degrees),
+        (dict(full, per_degree=[dict(two, degree=1), three, four]), degrees),
+        (
+            dict(full, per_degree=[dict(two, multiset_count=46, fiber_count=46), three, four]),
+            "'multiset_count' of degree 2 must be 45, got 46",
+        ),
+        (
+            dict(full, witnesses=three_found * 5 + four_found),
+            "'witnesses' holds 5 of degree 3, which has 1 disconnected",
+        ),
+        (
+            dict(full, per_degree=[two, three, dict(four, disconnected_count=8)]),
+            "'witnesses' holds 9 of degree 4, which has 8 disconnected",
+        ),
+        (
+            dict(full, witnesses=three_found + four_found[::-1]),
+            "'witnesses' must be in strictly ascending \\(degree, signature\\) order",
+        ),
+        (
+            dict(full, witnesses=four_found + three_found),
+            "'witnesses' must be in strictly ascending \\(degree, signature\\) order",
+        ),
+    ]
     for bad, message in cases:
         with pytest.raises(ShapeError, match=message):
             fc.report_from_json(bad)

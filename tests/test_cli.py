@@ -25,6 +25,9 @@ from flowcert.errors import NotAFlowError
 
 Z2 = fc.make_group([2])
 Z3 = fc.make_group([3])
+# the walkthrough multisets M1 and M2 of tests/test_acceptance.py
+M1_ROWS = [[1, 1, 1, 1, 1, 1], [0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 0, 0]]
+M2_ROWS = [[0, 1, 0, 1, 0, 0], [1, 1, 1, 0, 1, 0], [1, 0, 1, 1, 0, 1]]
 
 
 def run(capsys, *argv):
@@ -133,6 +136,35 @@ def test_path_not_connected(tmp_path, capsys):
     assert json.loads(out) == {"connected": False, "format": 1}
 
 
+def test_path_text_format(tmp_path, capsys):
+    a = write_rows(tmp_path, "a.json", M1_ROWS)
+    b = write_rows(tmp_path, "b.json", M2_ROWS)
+    argv = ["path", "--group", "2", "--n", "6", "--a", a, "--b", b, "--format", "text"]
+    code, out, _ = run(capsys, *argv, "--m", "2")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "path of length 2"
+    assert len(lines) == 3
+    assert all(re.fullmatch(r"out \[.*\] in \[.*\]", line) for line in lines[1:])
+
+    code, out, _ = run(capsys, *argv, "--m", "1")
+    assert code == EXIT_WITNESS
+    assert out == "not connected\n"
+
+
+def test_compat_text_format(tmp_path, capsys):
+    a = write_rows(tmp_path, "a.json", M1_ROWS)
+    one = write_rows(tmp_path, "one.json", [[0, 0, 0, 0, 0, 0]])
+    argv = ["compat", "--group", "2", "--n", "6", "--a", a, "--format", "text"]
+    code, out, _ = run(capsys, *argv, "--b", a)
+    assert code == EXIT_OK
+    assert out == "compatible\n"
+
+    code, out, _ = run(capsys, *argv, "--b", one)
+    assert code == EXIT_WITNESS
+    assert out == "incompatible at indices: 0 1 2 3 4 5\n"
+
+
 def test_path_incompatible_inputs_are_usage_errors(tmp_path, capsys):
     a = write_rows(tmp_path, "a.json", [[0, 0, 0]])
     b = write_rows(tmp_path, "b.json", [[0, 1, 1]])
@@ -220,6 +252,22 @@ def test_witness_command(capsys):
     assert json.loads(out)["witness"] is None
 
 
+def test_witness_text_format(capsys):
+    code, out, _ = run(capsys, "witness", "--group", "3", "--n", "3", "--m", "2",
+                       "--format", "text")
+    assert code == EXIT_WITNESS
+    assert out.splitlines() == [
+        "degree 3 witness",
+        "first [[0, 0, 0], [1, 1, 1], [2, 2, 2]]",
+        "second [[0, 1, 2], [1, 2, 0], [2, 0, 1]]",
+    ]
+
+    code, out, _ = run(capsys, "witness", "--group", "2", "--n", "4", "--m", "2",
+                       "--format", "text")
+    assert code == EXIT_OK
+    assert out == "none up to degree 4\n"
+
+
 def test_usage_errors(capsys):
     code, out, err = run(capsys, "certify", "--group", "3", "--n", "3",
                          "--dmax", "2", "--m", "3")
@@ -252,6 +300,25 @@ def test_capacity_exit_code(capsys):
                          "--dmax", "4", "--m", "2", "--sweep-cap", "100")
     assert code == EXIT_CAPACITY
     assert json.loads(err)["error"]["type"] == "capacity"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flows", "--group", "3", "--n", "9100"],
+        ["export-matrix", "--group", "3", "--n", "9100"],
+        ["certify", "--group", "3", "--n", "4600", "--dmax", "4", "--m", "2"],
+        ["witness", "--group", "2", "--n", "9000", "--m", "2"],
+    ],
+    ids=["flows", "export-matrix", "certify", "witness"],
+)
+def test_a_count_past_the_int_to_str_limit_is_a_capacity_error(capsys, argv):
+    # each refused count has more than the 4,300 digits that str() converts
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CAPACITY
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["type"] == "capacity"
 
 
 def test_flows_output_reloads_as_multiset(tmp_path, capsys):

@@ -273,6 +273,13 @@ def test_sweep_capacity_error_reports_total():
     assert err.value.cap == 100
 
 
+def test_a_sweep_size_past_the_int_to_str_limit_is_named_by_a_power_of_two():
+    # C(2**8999 + 1, 2) has 5,418 digits, past the 4,300 that str() converts by default
+    with pytest.raises(CapacityError, match=r"^sweep over at least 2\*\*17997 degree-2") as err:
+        fc.enumerate_all_fibers(Z2, 9000, 2)
+    assert err.value.required == comb(2**8999 + 1, 2)
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_sweep_rejects_n_below_one(n):
     with pytest.raises(ShapeError):

@@ -71,6 +71,13 @@ def test_enumerate_flows_capacity():
     assert err.value.cap == 10
 
 
+def test_a_count_past_the_int_to_str_limit_is_named_by_a_power_of_two():
+    # 3**9099 has 4,341 digits, past the 4,300 that str() converts by default
+    with pytest.raises(CapacityError, match=r"^at least 2\*\*14421 flows exceed") as err:
+        fc.enumerate_flows(Z3, 9100)
+    assert err.value.required == 3**9099
+
+
 def test_vertex_embedding_walkthrough_vertices():
     flows = fc.enumerate_flows(Z2, 3)
     coords = [fc.vertex_embedding(f).coords for f in flows]
